@@ -16,7 +16,7 @@ package ccaimd
 import (
 	"fmt"
 
-	"srcsim/internal/obs/timeseries"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 )
 
@@ -226,9 +226,8 @@ func (rp *RP) setRate(newRate float64) {
 	}
 }
 
-// SampleSeries is the reaction point's flight-recorder probe: the
-// current rate and the EWMA congestion level. Read-only.
-func (rp *RP) SampleSeries(track, prefix string, emit timeseries.Emit) {
-	emit(track, prefix+"_rate_gbps", timeseries.Gauge, rp.rate/1e9)
-	emit(track, prefix+"_cong_level", timeseries.Gauge, rp.g)
+// Instrument registers the reaction point's EWMA congestion level as a
+// recorder-only series (the fabric registers the current rate).
+func (rp *RP) Instrument(reg *obs.Registry, labels ...obs.Label) {
+	reg.GaugeFunc("aimd", "cong_level", obs.Probe, rp.CongestionLevel, labels...)
 }

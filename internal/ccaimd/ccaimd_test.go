@@ -3,7 +3,7 @@ package ccaimd
 import (
 	"testing"
 
-	"srcsim/internal/obs/timeseries"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 )
 
@@ -101,16 +101,16 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSampleSeries(t *testing.T) {
+func TestInstrument(t *testing.T) {
 	_, rp := newTestRP(t)
-	got := map[string]float64{}
-	rp.SampleSeries("net", "flow0", func(track, name string, k timeseries.Kind, v float64) {
-		got[name] = v
-	})
-	if got["flow0_rate_gbps"] != 10 {
-		t.Fatalf("rate series %v, want 10", got["flow0_rate_gbps"])
+	reg := obs.NewRegistry()
+	rp.Instrument(reg, obs.L("flow", "0"))
+	snap := reg.Snapshot()
+	if _, ok := snap.Gauges["aimd/cong_level{flow=0}"]; !ok {
+		t.Fatalf("missing cong_level series in %v", snap.Gauges)
 	}
-	if _, ok := got["flow0_cong_level"]; !ok {
-		t.Fatal("missing cong_level series")
+	reg.Fold()
+	if reg.NumSeries() != 0 {
+		t.Fatal("recorder-only cong_level series stored by the fold")
 	}
 }

@@ -135,7 +135,8 @@ type Spec struct {
 	// Metrics, when non-nil, receives counters/gauges/histograms from
 	// every instrumented component and enables engine profiling; the
 	// snapshot lands in Result.Metrics. Nil (the default) keeps all hooks
-	// no-ops.
+	// no-ops unless Recorder or Board asks for a registry, in which case
+	// the run gets a private one (engine profiling stays off).
 	Metrics *obs.Registry
 	// Trace, when non-nil, records sim-time events (ECN marks, PFC
 	// pauses, DCQCN throttle spans, SSD GC, SRC adjustments) for Chrome
@@ -143,11 +144,11 @@ type Spec struct {
 	// the mode. Nil disables tracing with zero overhead.
 	Trace *obs.Tracer
 	// Recorder, when non-nil, attaches the flight recorder: periodic
-	// sim-clock sampling of the registry plus per-layer congestion
-	// probes (queue depth, DCQCN rate/alpha, SRC weight, TXQ credit,
-	// in-flight commands), under mode-prefixed tracks so CompareModes
-	// legs sharing a recorder stay distinct. Nil records nothing and
-	// changes no behaviour.
+	// sim-clock sampling of the registry, including the recorder-only
+	// series each layer registers (queue depth, DCQCN rate/alpha, SRC
+	// weight, TXQ credit, in-flight commands), under mode-prefixed tracks
+	// so CompareModes legs sharing a recorder stay distinct. Nil records
+	// nothing and changes no behaviour.
 	Recorder *timeseries.Recorder
 	// Board, when non-nil, receives wall-clock-latest copies of the
 	// registry snapshot and recorder window every PublishEvery of sim
@@ -271,6 +272,9 @@ type Cluster struct {
 
 	// sc is the run's trace scope (nil when Spec.Trace is nil).
 	sc *obs.Scope
+	// reg is the registry every layer registered with: Spec.Metrics, a
+	// private one when only the recorder or board needs it, else nil.
+	reg *obs.Registry
 }
 
 // New builds a cluster from the spec.
@@ -282,27 +286,44 @@ func New(spec Spec) (*Cluster, error) {
 	if err := spec.SSD.Validate(); err != nil {
 		return nil, err
 	}
+	if err := spec.SRC.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Ctrl.Validate(); err != nil {
+		return nil, err
+	}
 
 	eng := sim.NewEngine()
-	if spec.Metrics != nil {
+	modeL := obs.L("mode", spec.Mode.String())
+	reg := spec.Metrics
+	if reg != nil {
 		eng.EnableProfiling()
+		reg.CounterFunc("sim", "events_processed", obs.U64(&eng.Processed), modeL)
+		reg.GaugeFunc("sim", "heap_high_water", obs.Max, func() float64 { return float64(eng.HeapHighWater()) }, modeL)
+	} else if spec.Recorder != nil || spec.Board != nil {
+		reg = obs.NewRegistry()
+	}
+	// Past this point layers hold registrations: a failed build folds
+	// them so the registry keeps nothing of the partial cluster.
+	fail := func(err error) (*Cluster, error) {
+		reg.Fold()
+		return nil, err
 	}
 	net, err := netsim.NewNetwork(eng, spec.Net)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// One trace process per run, named after the mode, so CompareModes
 	// runs sharing a tracer land in distinct Chrome processes.
 	sc := spec.Trace.Scope(spec.Mode.String())
-	modeL := obs.L("mode", spec.Mode.String())
-	net.Instrument(spec.Metrics, sc, modeL)
+	net.Instrument(reg, sc, modeL)
 
 	var hosts []*netsim.Node
 	need := spec.Initiators + spec.Targets
 	if spec.UseClos {
 		hosts = netsim.BuildClos(net, spec.Clos)
 		if len(hosts) < need {
-			return nil, fmt.Errorf("cluster: Clos provides %d hosts, need %d", len(hosts), need)
+			return fail(fmt.Errorf("cluster: Clos provides %d hosts, need %d", len(hosts), need))
 		}
 		// Spread across ToRs: initiators first, then targets from the
 		// far end so traffic crosses the fabric.
@@ -321,6 +342,13 @@ func New(spec Spec) (*Cluster, error) {
 		pauses:           stats.NewTimeSeries(spec.MetricBucket),
 		telemetryStalled: make([]bool, spec.Targets),
 		sc:               sc,
+		reg:              reg,
+	}
+	if reg != nil {
+		reg.GaugeFunc("cluster", "completed", obs.Probe, func() float64 { return float64(c.completed) }, modeL)
+		reg.GaugeFunc("cluster", "failed", obs.Probe, func() float64 { return float64(c.failed) }, modeL)
+		reg.GaugeFunc("cluster", "read_bits", obs.Probe, c.readBits.Total, modeL)
+		reg.GaugeFunc("cluster", "write_bits", obs.Probe, c.writeBits.Total, modeL)
 	}
 	if spec.Mode == DCQCNSRC && spec.SRC.Adaptive.Enabled {
 		c.adaptReadBits = make([]float64, spec.Targets)
@@ -328,7 +356,7 @@ func New(spec Spec) (*Cluster, error) {
 	}
 	if spec.Mode == DCQCNSRC && spec.Ctrl.Enabled {
 		c.plane = ctrlplane.New(eng, spec.Ctrl, spec.Targets, net.SwitchQueuedBytes)
-		c.plane.Instrument(spec.Metrics, modeL)
+		c.plane.Instrument(reg, modeL)
 	}
 
 	for i := 0; i < spec.Initiators; i++ {
@@ -354,6 +382,7 @@ func New(spec Spec) (*Cluster, error) {
 				}
 			}
 		}
+		ini.Instrument(reg, modeL)
 		c.Initiators = append(c.Initiators, ini)
 	}
 
@@ -382,21 +411,23 @@ func New(spec Spec) (*Cluster, error) {
 				arb = nvme.NewPaced(eng, 0)
 				tn.SSQs = append(tn.SSQs, nil)
 			default:
-				return nil, fmt.Errorf("cluster: unknown mode %d", spec.Mode)
+				return fail(fmt.Errorf("cluster: unknown mode %d", spec.Mode))
 			}
 			dev, err := ssd.New(eng, spec.SSD, arb)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			dev.Trace = sc
 			dev.TraceName = fmt.Sprintf("t%d/d%d", tIdx, d)
+			dev.Instrument(reg, modeL)
 			if ssq := tn.SSQs[d]; ssq != nil {
-				ssq.Instrument(spec.Metrics, modeL)
+				ssq.Instrument(reg, modeL)
 			}
 			tn.Devs = append(tn.Devs, dev)
 			units = append(units, nvmeof.Unit{Dev: dev, Arb: arb})
 		}
 		tn.T = nvmeof.NewTarget(net, node, units, spec.TXQCap)
+		tn.T.Instrument(reg, modeL)
 		if spec.Retry.Enabled() {
 			tn.T.SetCreditTimeout(spec.Retry.Timeout)
 		}
@@ -441,7 +472,7 @@ func New(spec Spec) (*Cluster, error) {
 			tIdx := tIdx
 			mk := func(sink core.WeightSink) *core.Controller {
 				ctl := core.NewController(srcCfg, spec.TPM, sink)
-				ctl.Instrument(spec.Metrics, sc, fmt.Sprintf("t%d", tIdx), modeL)
+				ctl.Instrument(reg, sc, fmt.Sprintf("t%d", tIdx), modeL)
 				return ctl
 			}
 			if c.plane != nil {
@@ -450,6 +481,11 @@ func New(spec Spec) (*Cluster, error) {
 				tn.Ctl = c.plane.Register(tIdx, group, mk)
 			} else {
 				tn.Ctl = mk(group)
+			}
+			// The weight actually applied, whichever controller incarnation
+			// set it.
+			if reg != nil {
+				reg.GaugeFunc("core", "weight_ratio", obs.Probe, group.WeightRatio, modeL, obs.L("target", fmt.Sprintf("t%d", tIdx)))
 			}
 			tn.T.OnCommandArrive = func(req trace.Request, at sim.Time) {
 				c.feedTelemetry(tIdx, req, at)
@@ -463,8 +499,7 @@ func New(spec Spec) (*Cluster, error) {
 
 	if spec.Faults != nil {
 		b := faults.Binding{
-			Eng: eng, Net: net,
-			Metrics: spec.Metrics, Scope: sc,
+			Eng: eng, Net: net, Scope: sc,
 			StallTelemetry: func(t int, stalled bool) { c.telemetryStalled[t] = stalled },
 		}
 		if c.plane != nil {
@@ -477,8 +512,9 @@ func New(spec Spec) (*Cluster, error) {
 		}
 		inj, err := faults.Install(spec.Faults, b)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
+		inj.Instrument(reg)
 		c.Injector = inj
 	}
 	return c, nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -334,5 +335,39 @@ func TestSRCPlumbingWithFakeTPM(t *testing.T) {
 		if tn.Ctl == nil {
 			t.Fatal("SRC controller missing")
 		}
+	}
+}
+
+// TestNewRejectsNegativeConfig: a negative value in a field whose zero
+// means "use the default" fails cluster.New with an error naming the
+// field, instead of being silently replaced by the default.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mod   func(*Spec)
+	}{
+		{"CMTBytes", func(s *Spec) { s.SSD.CMTBytes = -1 }},
+		{"WriteCacheBytes", func(s *Spec) { s.SSD.WriteCacheBytes = -1 }},
+		{"ChannelBandwidth", func(s *Spec) { s.SSD.ChannelBandwidth = -1 }},
+		{"DRAMLatency", func(s *Spec) { s.SSD.DRAMLatency = -1 }},
+		{"OverProvision", func(s *Spec) { s.SSD.OverProvision = -0.1 }},
+		{"GCThreshold", func(s *Spec) { s.SSD.GCThreshold = -0.1 }},
+		{"FallbackWeight", func(s *Spec) { s.SRC.FallbackWeight = -2 }},
+		{"FallbackWeight", func(s *Spec) { s.Ctrl.FallbackWeight = -2 }},
+	} {
+		spec := congestionSpec()
+		spec.Mode = DCQCNSRC
+		spec.TPM = fakeTPM(t)
+		tc.mod(&spec)
+		_, err := New(spec)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: New error %v, want one naming the field", tc.field, err)
+		}
+	}
+	// Zero still means "use the default".
+	spec := congestionSpec()
+	spec.SSD.CMTBytes, spec.SRC.FallbackWeight, spec.Ctrl.FallbackWeight = 0, 0, 0
+	if _, err := New(spec); err != nil {
+		t.Fatalf("zero values rejected: %v", err)
 	}
 }

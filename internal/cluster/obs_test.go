@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"srcsim/internal/obs"
+	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
 
@@ -162,5 +163,41 @@ func TestTraceComponentCoverage(t *testing.T) {
 		default:
 			t.Fatalf("unexpected trace phase %q", ph)
 		}
+	}
+}
+
+// TestRecorderWithoutRegistry: a recorder alone gets each run a private
+// registry — the layers' series reach the recorder under per-mode
+// tracks, but no snapshot lands in the result and engine profiling
+// (wall-clock data) stays off.
+func TestRecorderWithoutRegistry(t *testing.T) {
+	rec := timeseries.New(10*sim.Microsecond, 0)
+	tr := vdiTrace(t, 500)
+	for _, mode := range []Mode{DCQCNOnly, DCQCNSRC} {
+		spec := congestionSpec()
+		spec.Mode, spec.TPM, spec.Recorder = mode, fakeTPM(t), rec
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics != nil {
+			t.Errorf("%v: Result.Metrics set without Spec.Metrics", mode)
+		}
+		if c.Eng.ProfilingEnabled() {
+			t.Errorf("%v: engine profiling on without Spec.Metrics", mode)
+		}
+	}
+	ecn := map[string]bool{}
+	for _, s := range rec.Dump(0) {
+		if s.Name == "ecn_marks" && len(s.V) > 0 {
+			ecn[s.Track] = true
+		}
+	}
+	if !ecn["DCQCN-Only/netsim"] || !ecn["DCQCN-SRC/netsim"] {
+		t.Fatalf("ECN activity per mode track: %v", ecn)
 	}
 }

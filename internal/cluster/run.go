@@ -11,7 +11,6 @@ import (
 	"srcsim/internal/ctrlplane"
 	"srcsim/internal/guard"
 	"srcsim/internal/obs"
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 	"srcsim/internal/stats"
 	"srcsim/internal/trace"
@@ -103,7 +102,7 @@ type Result struct {
 	// unless Spec.Ctrl was enabled.
 	Ctrl *ctrlplane.Ledger
 
-	// Metrics is the registry snapshot taken after the end-of-run flush;
+	// Metrics is the registry snapshot taken after the end-of-run fold;
 	// nil unless Spec.Metrics was set.
 	Metrics *obs.Snapshot
 }
@@ -119,8 +118,11 @@ type LadderStep struct {
 }
 
 // Run drives the trace through the cluster and collects metrics. It can
-// be called once per cluster.
+// be called once per cluster. However it ends, it folds the layers'
+// read-through series into the registry, which then holds no reference
+// to the cluster.
 func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
+	defer c.reg.Fold()
 	if tr.Len() == 0 {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}
@@ -196,18 +198,14 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 		stopPlane = c.plane.Start()
 	}
 
-	// Flight recorder: read-only per-layer probes sampled on the sim
-	// clock, plus the registry sweep. Started before the first model
-	// event so the t=0 state is in the timeline.
-	stopRecorder := func() {}
-	if spec.Recorder != nil {
-		stopRecorder = spec.Recorder.Start(c.Eng, spec.Metrics, c.recorderProbe())
-	}
+	// Flight recorder: the registry sampled on the sim clock. Started
+	// before the first model event so the t=0 state is in the timeline.
+	stopRecorder := spec.Recorder.Start(c.Eng, c.reg)
 	// Live-inspector publishing: copies of the latest snapshot and
 	// recorder window, handed to the board for the HTTP goroutine. The
 	// engine thread only ever writes copies, never shares live state.
 	publish := func() {
-		spec.Board.PublishSnapshot(spec.Metrics.Snapshot())
+		spec.Board.PublishSnapshot(c.reg.Snapshot())
 		if spec.Recorder != nil {
 			spec.Board.PublishSeries(spec.Recorder.Dump(2048))
 		}
@@ -441,14 +439,15 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	res.TotalECNMarks = c.Net.ECNMarks
 	res.TotalPFCPauses = c.Net.PFCPauses
 
+	c.reg.Fold()
 	if reg := spec.Metrics; reg != nil {
-		c.flushMetrics(reg)
+		c.profileMetrics(reg)
 		snap := reg.Snapshot()
 		res.Metrics = &snap
 	}
 	if spec.Board != nil {
-		// Final publish after the end-of-run metric flush, so the
-		// inspector's last word matches the written artifacts.
+		// Final publish after the end-of-run fold, so the inspector's
+		// last word matches the written artifacts.
 		publish()
 	}
 	return res, nil
@@ -488,82 +487,11 @@ func ladderRecovery(steps []LadderStep) (recovered bool, ms float64) {
 	return recovered, ms
 }
 
-// recorderProbe builds the cluster's pull-probe for the flight
-// recorder: every layer's congestion state under mode-prefixed tracks.
-// Track names are precomputed so the per-sample path does not format
-// strings.
-func (c *Cluster) recorderProbe() timeseries.Sampler {
-	mode := c.Spec.Mode.String()
-	netTrack := mode + "/net"
-	clusterTrack := mode + "/cluster"
-	tgtTracks := make([]string, len(c.Targets))
-	for i := range c.Targets {
-		tgtTracks[i] = fmt.Sprintf("%s/t%d", mode, i)
-	}
-	iniTracks := make([]string, len(c.Initiators))
-	for i := range c.Initiators {
-		iniTracks[i] = fmt.Sprintf("%s/i%d", mode, i)
-	}
-	ctrlTrack := mode + "/ctrl"
-	return func(now sim.Time, emit timeseries.Emit) {
-		c.Net.SampleSeries(netTrack, emit)
-		if c.plane != nil {
-			c.plane.SampleSeries(now, ctrlTrack, emit)
-		}
-		for i, tn := range c.Targets {
-			tn.T.SampleSeries(tgtTracks[i], emit)
-			if tn.Ctl != nil {
-				tn.Ctl.SampleSeries(tgtTracks[i], emit)
-			}
-		}
-		for i, ini := range c.Initiators {
-			ini.SampleSeries(iniTracks[i], emit)
-		}
-		emit(clusterTrack, "completed", timeseries.Counter, float64(c.completed))
-		emit(clusterTrack, "failed", timeseries.Counter, float64(c.failed))
-		emit(clusterTrack, "read_bits", timeseries.Counter, c.readBits.Total())
-		emit(clusterTrack, "write_bits", timeseries.Counter, c.writeBits.Total())
-	}
-}
-
-// flushMetrics folds end-of-run component counters and the engine
-// profile into the registry (live hot-path series were already fed
-// during the run).
-func (c *Cluster) flushMetrics(reg *obs.Registry) {
+// profileMetrics stores the engine's wall-clock profile, which exists
+// only once the run is over.
+func (c *Cluster) profileMetrics(reg *obs.Registry) {
 	modeL := obs.L("mode", c.Spec.Mode.String())
-	for _, t := range c.Targets {
-		for _, dev := range t.Devs {
-			dev.CollectMetrics(reg, modeL)
-		}
-		t.T.CollectMetrics(reg, modeL)
-	}
-	for _, ini := range c.Initiators {
-		ini.CollectMetrics(reg, modeL)
-	}
-	reg.Counter("netsim", "dropped_packets", modeL).Add(float64(c.Net.DroppedPackets))
-	reg.Counter("netsim", "corrupted_packets", modeL).Add(float64(c.Net.CorruptedPackets))
-	reg.Counter("netsim", "route_drops", modeL).Add(float64(c.Net.RouteDrops))
-	reg.Counter("netsim", "link_downs", modeL).Add(float64(c.Net.LinkDowns))
-	reg.Counter("netsim", "forced_pauses", modeL).Add(float64(c.Net.ForcedPauses))
-	c.Injector.CollectMetrics(reg, modeL)
-	var sent, recvd, delivered uint64
-	for _, ini := range c.Initiators {
-		sent += ini.Node.NIC.BytesSent
-		recvd += ini.Node.NIC.BytesReceived
-		delivered += ini.Node.NIC.MsgsDelivered
-	}
-	for _, t := range c.Targets {
-		sent += t.T.Node.NIC.BytesSent
-		recvd += t.T.Node.NIC.BytesReceived
-		delivered += t.T.Node.NIC.MsgsDelivered
-	}
-	reg.Counter("netsim", "nic_bytes_sent", modeL).Add(float64(sent))
-	reg.Counter("netsim", "nic_bytes_received", modeL).Add(float64(recvd))
-	reg.Counter("netsim", "nic_msgs_delivered", modeL).Add(float64(delivered))
-
 	ps := c.Eng.ProfileStats()
-	reg.Counter("sim", "events_processed", modeL).Add(float64(ps.EventsProcessed))
-	reg.Gauge("sim", "heap_high_water", modeL).SetMax(float64(ps.HeapHighWater))
 	reg.Gauge("sim", "wall_per_sim_second", modeL).Set(ps.WallPerSimSecond)
 	// Per-callback-site timings, bounded to the top sites by wall time.
 	sites := ps.Sites

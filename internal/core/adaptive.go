@@ -448,8 +448,6 @@ func (c *Controller) ladderTo(at sim.Time, to LadderState, reason string) {
 		c.degraded = false
 	}
 	if o := c.obs; o != nil {
-		o.ladderMoves.Inc()
-		o.ladderState.Set(float64(to))
 		o.sc.Instant(at, "core", "ladder "+o.name+" "+from.String()+">"+to.String()+" ("+reason+")",
 			obs.Num("from", float64(from)),
 			obs.Num("to", float64(to)))
@@ -562,7 +560,6 @@ func (c *Controller) retrainNow(at sim.Time) {
 		}
 	}
 	if o := c.obs; o != nil {
-		o.retrains.Inc()
 		o.sc.Instant(at, "core", "retrain "+o.name,
 			obs.Num("window_samples", float64(len(samples))))
 	}
@@ -591,7 +588,6 @@ func (c *Controller) retrainNow(at sim.Time) {
 			a.errs.Push(p, s.TputR)
 		}
 		if o := c.obs; o != nil {
-			o.promotions.Inc()
 			o.sc.Instant(at, "core", "promote "+o.name,
 				obs.Num("candidate_acc", candAcc),
 				obs.Num("incumbent_acc", incAcc))
@@ -611,9 +607,6 @@ func (c *Controller) retrainNow(at sim.Time) {
 func (c *Controller) noteReject(at sim.Time) {
 	a := c.adaptive
 	a.rejections++
-	if o := c.obs; o != nil {
-		o.rejections.Inc()
-	}
 	if a.state == LadderRetraining {
 		a.rejects++
 		if a.rejects >= a.cfg.MaxRejects {

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"srcsim/internal/nvme"
 	"srcsim/internal/obs"
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
 
@@ -47,6 +47,15 @@ type ControllerConfig struct {
 	// adaptive.go). The zero value keeps the controller byte-identical
 	// to its pre-adaptive behaviour.
 	Adaptive AdaptiveConfig
+}
+
+// Validate rejects a negative FallbackWeight, which withDefaults would
+// otherwise silently replace (zero picks the default).
+func (c ControllerConfig) Validate() error {
+	if c.FallbackWeight < 0 {
+		return fmt.Errorf("core: FallbackWeight %d is negative", c.FallbackWeight)
+	}
+	return nil
 }
 
 // withDefaults fills unset fields.
@@ -138,8 +147,8 @@ type Controller struct {
 	obs *ctlObs
 }
 
-// ctlObs holds observability handles resolved by Instrument; nil when
-// observability is off.
+// ctlObs holds the trace scope and the handles for quantities no
+// controller field holds; nil when observability is off.
 type ctlObs struct {
 	sc             *obs.Scope
 	name           string
@@ -150,20 +159,17 @@ type ctlObs struct {
 	weightRatio    *obs.Gauge
 	degradedEnters *obs.Counter
 	recoveries     *obs.Counter
-	degraded       *obs.Gauge
-
-	// Adaptive-only handles (nil unless the ladder is armed — keeping
-	// non-adaptive metric snapshots byte-identical to earlier builds).
-	ladderMoves *obs.Counter
-	ladderState *obs.Gauge
-	retrains    *obs.Counter
-	promotions  *obs.Counter
-	rejections  *obs.Counter
+	// degraded tracks the stale-telemetry fallback only; the adaptive
+	// ladder's Static rung also sets the degraded field.
+	degraded *obs.Gauge
 }
 
 // Instrument attaches a metrics registry and/or trace scope to the
 // controller (either may be nil). name distinguishes controllers when a
-// cluster runs several targets; it prefixes trace track names.
+// cluster runs several targets; it prefixes trace track names. With the
+// ladder armed, its transition count, rung and retrain counters register
+// as read-through series (they are absent otherwise, keeping
+// non-adaptive snapshots unchanged).
 func (c *Controller) Instrument(reg *obs.Registry, sc *obs.Scope, name string, labels ...obs.Label) {
 	if reg == nil && !sc.Enabled() {
 		return
@@ -180,12 +186,12 @@ func (c *Controller) Instrument(reg *obs.Registry, sc *obs.Scope, name string, l
 		recoveries:     reg.Counter("core", "recoveries", labels...),
 		degraded:       reg.Gauge("core", "degraded", labels...),
 	}
-	if c.adaptive != nil {
-		c.obs.ladderMoves = reg.Counter("core", "ladder_transitions", labels...)
-		c.obs.ladderState = reg.Gauge("core", "ladder_state", labels...)
-		c.obs.retrains = reg.Counter("core", "retrains", labels...)
-		c.obs.promotions = reg.Counter("core", "retrain_promotions", labels...)
-		c.obs.rejections = reg.Counter("core", "retrain_rejections", labels...)
+	if a := c.adaptive; a != nil {
+		reg.CounterFunc("core", "ladder_transitions", func() float64 { return float64(len(a.ladder)) }, labels...)
+		reg.GaugeFunc("core", "ladder_state", obs.Last, func() float64 { return float64(a.state) }, labels...)
+		reg.CounterFunc("core", "retrains", obs.U64(&a.retrains), labels...)
+		reg.CounterFunc("core", "retrain_promotions", obs.U64(&a.promotions), labels...)
+		reg.CounterFunc("core", "retrain_rejections", obs.U64(&a.rejections), labels...)
 	}
 }
 
@@ -353,29 +359,6 @@ func (c *Controller) recoverTelemetry(at sim.Time) {
 
 // Degraded reports whether the stale-telemetry fallback is active.
 func (c *Controller) Degraded() bool { return c.degraded }
-
-// SampleSeries is the controller's flight-recorder probe: the active
-// SSQ weight ratio, the degraded flag, the cumulative adjustment count,
-// and the last demanded data sending rate. Read-only.
-func (c *Controller) SampleSeries(track string, emit timeseries.Emit) {
-	emit(track, "src_weight_ratio", timeseries.Gauge, c.SSQ.WeightRatio())
-	degraded := 0.0
-	if c.degraded {
-		degraded = 1
-	}
-	emit(track, "src_degraded", timeseries.Gauge, degraded)
-	emit(track, "src_adjustments", timeseries.Counter, float64(len(c.Events)))
-	emit(track, "src_demand_gbps", timeseries.Gauge, c.lastDemand/1e9)
-	if a := c.adaptive; a != nil {
-		// Adaptive-only series: emitted only when the ladder is armed so
-		// recorder output on non-adaptive runs is unchanged.
-		emit(track, "src_ladder_state", timeseries.Gauge, float64(a.state))
-		emit(track, "src_retrains", timeseries.Counter, float64(a.retrains))
-		emit(track, "src_promotions", timeseries.Counter, float64(a.promotions))
-		emit(track, "src_window_samples", timeseries.Gauge, float64(a.window.Len()))
-		emit(track, "src_pred_err_mean", timeseries.Gauge, a.errs.AggErr())
-	}
-}
 
 // CurrentWeightRatio returns the SSQ's active w.
 func (c *Controller) CurrentWeightRatio() float64 { return c.SSQ.WeightRatio() }

@@ -51,9 +51,6 @@ func (a *agent) onDirective(now sim.Time, epoch, seq uint64, read, write int) {
 	switch {
 	case epoch < a.epoch:
 		a.p.led.StaleRejected++
-		if a.p.o != nil {
-			a.p.o.staleRejected.Inc()
-		}
 		return
 	case epoch == a.epoch && seq <= a.lastSeq:
 		a.p.led.DupsAcked++
@@ -69,9 +66,6 @@ func (a *agent) onDirective(now sim.Time, epoch, seq uint64, read, write int) {
 	a.lastGoodR, a.lastGoodW = read, write
 	a.haveGood = true
 	a.p.led.DirectivesApplied++
-	if a.p.o != nil {
-		a.p.o.applied.Inc()
-	}
 	a.renewLease(now)
 	a.ack(epoch, seq)
 	a.p.noteApplied(now, epoch)
@@ -112,18 +106,12 @@ func (a *agent) checkLease() {
 		if age > a.p.Cfg.LeaseTimeout {
 			a.state = leaseHeld
 			a.p.led.LeaseExpiries++
-			if a.p.o != nil {
-				a.p.o.leaseExpiries.Inc()
-			}
 		}
 	case leaseHeld:
 		if age > a.p.Cfg.LeaseTimeout+a.p.Cfg.GraceWindow {
 			a.state = leaseFallback
 			a.sink.SetWeights(1, a.p.Cfg.FallbackWeight)
 			a.p.led.Fallbacks++
-			if a.p.o != nil {
-				a.p.o.fallbacks.Inc()
-			}
 		}
 	}
 }

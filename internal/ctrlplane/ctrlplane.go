@@ -88,6 +88,15 @@ type Config struct {
 	FailoverAfter sim.Time `json:"failover_after_ns,omitempty"`
 }
 
+// Validate rejects a negative FallbackWeight, which withDefaults would
+// otherwise silently replace (zero picks the default).
+func (c Config) Validate() error {
+	if c.FallbackWeight < 0 {
+		return fmt.Errorf("ctrlplane: FallbackWeight %d is negative", c.FallbackWeight)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.BaseDelay <= 0 {
 		c.BaseDelay = 20 * sim.Microsecond
@@ -210,13 +219,7 @@ type Plane struct {
 	pendingDirs     int
 	appliedEpochMax uint64
 
-	o       *planeObs
 	started bool
-
-	// Precomputed per-target sample-series names (the per-sample path
-	// must not format strings).
-	ageNames   []string
-	stateNames []string
 }
 
 // New builds a plane for targets agents. load, when non-nil, reports
@@ -241,15 +244,11 @@ func New(eng *sim.Engine, cfg Config, targets int, load func() int64) *Plane {
 		lossBoost:   make([]float64, targets),
 		delayFactor: make([]float64, targets),
 		partitioned: make([]bool, targets),
-		ageNames:    make([]string, targets),
-		stateNames:  make([]string, targets),
 	}
 	for t := 0; t < targets; t++ {
 		p.delayFactor[t] = 1
 		p.pend[t] = make(map[uint64]*pending)
 		p.lastTelemAt[t] = -1
-		p.ageNames[t] = fmt.Sprintf("ctrl_t%d_lease_age_us", t)
-		p.stateNames[t] = fmt.Sprintf("ctrl_t%d_lease_state", t)
 	}
 	return p
 }
@@ -366,9 +365,6 @@ func (p *Plane) delay(target int) sim.Time {
 // holds at any instant.
 func (p *Plane) send(m message) {
 	p.led.Sent++
-	if p.o != nil {
-		p.o.sent.Inc()
-	}
 	if m.target >= 0 && p.partitioned[m.target] {
 		p.drop(m)
 		return
@@ -396,9 +392,6 @@ func (p *Plane) drop(m message) {
 	if m.kind == msgTelemetry {
 		p.led.TelemetryDropped++
 	}
-	if p.o != nil {
-		p.o.dropped.Inc()
-	}
 }
 
 // deliver dispatches one message at its delayed arrival time. Messages
@@ -414,9 +407,6 @@ func (p *Plane) deliver(m message) {
 			return
 		}
 		p.led.Delivered++
-		if p.o != nil {
-			p.o.delivered.Inc()
-		}
 		switch m.kind {
 		case msgTelemetry:
 			p.deliverTelemetry(m)
@@ -428,21 +418,12 @@ func (p *Plane) deliver(m message) {
 	case msgDirective:
 		p.led.Delivered++
 		p.led.DirectivesDelivered++
-		if p.o != nil {
-			p.o.delivered.Inc()
-		}
 		p.agents[m.target].onDirective(now, m.epoch, m.seq, m.read, m.write)
 	case msgHeartbeat:
 		p.led.Delivered++
-		if p.o != nil {
-			p.o.delivered.Inc()
-		}
 		p.agents[m.target].onHeartbeat(now, m.epoch)
 	case msgHBStandby:
 		p.led.Delivered++
-		if p.o != nil {
-			p.o.delivered.Inc()
-		}
 		p.sbLastHB = now
 	}
 }
@@ -509,9 +490,6 @@ func (p *Plane) retransmit(t int, pd *pending) {
 	}
 	pd.retries++
 	p.led.DirectiveRetries++
-	if p.o != nil {
-		p.o.retries.Inc()
-	}
 	p.send(message{kind: msgDirective, target: t, epoch: pd.epoch, seq: pd.seq, read: pd.read, write: pd.next})
 	wait := p.Cfg.AckTimeout << uint(pd.retries)
 	if wait > p.Cfg.BackoffCap {
@@ -555,10 +533,6 @@ func (p *Plane) standbyWatch() {
 	p.epoch++
 	p.led.Failovers++
 	p.epochStep(now, "failover")
-	if p.o != nil {
-		p.o.failovers.Inc()
-		p.o.epoch.Set(float64(p.epoch))
-	}
 	p.rebuildControllers()
 	p.heartbeat() // announce the new epoch promptly
 }
@@ -596,9 +570,6 @@ func (p *Plane) Restart() {
 	}
 	p.epoch++
 	p.epochStep(now, "restart")
-	if p.o != nil {
-		p.o.epoch.Set(float64(p.epoch))
-	}
 	p.rebuildControllers()
 }
 

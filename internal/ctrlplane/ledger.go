@@ -1,9 +1,10 @@
 package ctrlplane
 
 import (
+	"strconv"
+
 	"srcsim/internal/guard"
 	"srcsim/internal/obs"
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
 
@@ -111,64 +112,50 @@ func (p *Plane) AuditInvariants() []guard.Violation {
 	return vs
 }
 
-// planeObs holds live metric handles; nil when observability is off.
-type planeObs struct {
-	sent          *obs.Counter
-	delivered     *obs.Counter
-	dropped       *obs.Counter
-	applied       *obs.Counter
-	retries       *obs.Counter
-	staleRejected *obs.Counter
-	leaseExpiries *obs.Counter
-	fallbacks     *obs.Counter
-	failovers     *obs.Counter
-	epoch         *obs.Gauge
-}
-
-// Instrument attaches live metric counters (nil registry keeps every
-// hook a no-op).
+// Instrument registers the plane's ledger counters and epoch with a
+// metrics registry, plus recorder-only series for channel occupancy,
+// unacknowledged directives, controller liveness and each agent's lease
+// age and state — control-plane lag rendered against the same timeline
+// as queue growth. Nil reg is a no-op.
 func (p *Plane) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	p.o = &planeObs{
-		sent:          reg.Counter("ctrlplane", "msgs_sent", labels...),
-		delivered:     reg.Counter("ctrlplane", "msgs_delivered", labels...),
-		dropped:       reg.Counter("ctrlplane", "msgs_dropped", labels...),
-		applied:       reg.Counter("ctrlplane", "directives_applied", labels...),
-		retries:       reg.Counter("ctrlplane", "directive_retries", labels...),
-		staleRejected: reg.Counter("ctrlplane", "stale_rejected", labels...),
-		leaseExpiries: reg.Counter("ctrlplane", "lease_expiries", labels...),
-		fallbacks:     reg.Counter("ctrlplane", "fallbacks", labels...),
-		failovers:     reg.Counter("ctrlplane", "failovers", labels...),
-		epoch:         reg.Gauge("ctrlplane", "epoch", labels...),
+	for name, v := range map[string]*uint64{
+		"msgs_sent":          &p.led.Sent,
+		"msgs_delivered":     &p.led.Delivered,
+		"msgs_dropped":       &p.led.Dropped,
+		"directives_applied": &p.led.DirectivesApplied,
+		"directive_retries":  &p.led.DirectiveRetries,
+		"stale_rejected":     &p.led.StaleRejected,
+		"lease_expiries":     &p.led.LeaseExpiries,
+		"fallbacks":          &p.led.Fallbacks,
+		"failovers":          &p.led.Failovers,
+	} {
+		reg.CounterFunc("ctrlplane", name, obs.U64(v), labels...)
 	}
-	p.o.epoch.Set(float64(p.epoch))
-}
-
-// SampleSeries is the plane's flight-recorder probe: channel occupancy,
-// unacknowledged directives, the epoch, the loss/retry counters, and
-// each agent's lease age and state — control-plane lag rendered against
-// the same timeline as queue growth. Read-only.
-func (p *Plane) SampleSeries(now sim.Time, track string, emit timeseries.Emit) {
-	emit(track, "ctrl_epoch", timeseries.Gauge, float64(p.epoch))
-	emit(track, "ctrl_inflight_msgs", timeseries.Gauge, float64(p.chInFlight))
-	emit(track, "ctrl_pending_directives", timeseries.Gauge, float64(p.pendingDirs))
-	emit(track, "ctrl_msgs_sent", timeseries.Counter, float64(p.led.Sent))
-	emit(track, "ctrl_msgs_dropped", timeseries.Counter, float64(p.led.Dropped))
-	emit(track, "ctrl_directive_retries", timeseries.Counter, float64(p.led.DirectiveRetries))
-	emit(track, "ctrl_directives_applied", timeseries.Counter, float64(p.led.DirectivesApplied))
-	emit(track, "ctrl_stale_rejected", timeseries.Counter, float64(p.led.StaleRejected))
-	up := 0.0
-	if p.controllerUp() {
-		up = 1
-	}
-	emit(track, "ctrl_controller_up", timeseries.Gauge, up)
-	for t, a := range p.agents {
-		if a == nil {
-			continue
+	reg.GaugeFunc("ctrlplane", "epoch", obs.Last, obs.U64(&p.epoch), labels...)
+	reg.GaugeFunc("ctrlplane", "inflight_msgs", obs.Probe, obs.U64(&p.chInFlight), labels...)
+	reg.GaugeFunc("ctrlplane", "pending_directives", obs.Probe, func() float64 { return float64(p.pendingDirs) }, labels...)
+	reg.GaugeFunc("ctrlplane", "controller_up", obs.Probe, func() float64 {
+		if p.controllerUp() {
+			return 1
 		}
-		emit(track, p.ageNames[t], timeseries.Gauge, float64(a.leaseAge(now))/1e3)
-		emit(track, p.stateNames[t], timeseries.Gauge, float64(a.state))
+		return 0
+	}, labels...)
+	for t := range p.agents {
+		tl := append(labels[:len(labels):len(labels)], obs.L("target", "t"+strconv.Itoa(t)))
+		reg.GaugeFunc("ctrlplane", "lease_age_us", obs.Probe, func() float64 {
+			if a := p.agents[t]; a != nil {
+				return float64(a.leaseAge(p.eng.Now())) / 1e3
+			}
+			return 0
+		}, tl...)
+		reg.GaugeFunc("ctrlplane", "lease_state", obs.Probe, func() float64 {
+			if a := p.agents[t]; a != nil {
+				return float64(a.state)
+			}
+			return 0
+		}, tl...)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"srcsim/internal/obs"
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
 
@@ -193,9 +192,11 @@ func (rp *RP) notify(old float64) {
 	}
 }
 
-// RPObs is the per-RP instrumentation hookup: shared counters from the
-// metrics registry plus a trace scope for the rate timeline. The fabric
-// attaches one per flow when observability is on.
+// RPObs is the per-RP instrumentation hookup: shared handles from the
+// metrics registry for what no RP field holds, plus a trace scope for
+// the rate timeline. The fabric attaches one per flow when
+// observability is on; the CNPs and RateIncreases fields register as
+// read-through series instead.
 type RPObs struct {
 	// Scope receives the rate counter track, CNP instants, and
 	// "throttled" spans (line-rate departure to full recovery).
@@ -203,11 +204,9 @@ type RPObs struct {
 	// Name labels this RP's trace events, e.g. "flow3 t0>i0".
 	Name string
 
-	// CNPs, RateCuts, and RateIncreases are registry counters, usually
-	// shared across every flow of a fabric.
-	CNPs          *obs.Counter
-	RateCuts      *obs.Counter
-	RateIncreases *obs.Counter
+	// RateCuts counts CNPs that moved the rate, usually shared across
+	// every flow of a fabric.
+	RateCuts *obs.Counter
 	// CutDepth observes the percentage of rate removed per CNP.
 	CutDepth *obs.Histogram
 
@@ -218,7 +217,6 @@ type RPObs struct {
 // onCNP records the congestion signal itself; rate movement is handled
 // by onRate via notify.
 func (o *RPObs) onCNP(rp *RP, old float64) {
-	o.CNPs.Inc()
 	if old > 0 {
 		o.CutDepth.Observe((1 - rp.rc/old) * 100)
 	}
@@ -227,13 +225,11 @@ func (o *RPObs) onCNP(rp *RP, old float64) {
 	}
 }
 
-// onRate tracks cut/increase counters, the rate timeline, and the
-// throttled span covering each congestion episode.
+// onRate tracks the cut counter, the rate timeline, and the throttled
+// span covering each congestion episode.
 func (o *RPObs) onRate(rp *RP, old float64) {
 	if rp.rc < old {
 		o.RateCuts.Inc()
-	} else {
-		o.RateIncreases.Inc()
 	}
 	now := rp.eng.Now()
 	if o.Scope.Enabled() {
@@ -391,11 +387,10 @@ func (np *NP) OnMarkedPacket(now sim.Time) bool {
 	return true
 }
 
-// SampleSeries is the reaction point's flight-recorder probe: the
-// current/target sending rates and the congestion estimate, emitted
-// under per-flow names built from prefix. Read-only.
-func (rp *RP) SampleSeries(track, prefix string, emit timeseries.Emit) {
-	emit(track, prefix+"_rate_gbps", timeseries.Gauge, rp.rc/1e9)
-	emit(track, prefix+"_target_gbps", timeseries.Gauge, rp.rt/1e9)
-	emit(track, prefix+"_alpha", timeseries.Gauge, rp.alpha)
+// Instrument registers the reaction point's target rate and congestion
+// estimate as recorder-only series (the fabric registers the current
+// rate for every scheme).
+func (rp *RP) Instrument(reg *obs.Registry, labels ...obs.Label) {
+	reg.GaugeFunc("dcqcn", "target_gbps", obs.Probe, func() float64 { return rp.rt / 1e9 }, labels...)
+	reg.GaugeFunc("dcqcn", "alpha", obs.Probe, func() float64 { return rp.alpha }, labels...)
 }

@@ -29,9 +29,8 @@ type Binding struct {
 	// Ctrl is the in-band control plane, when one is enabled. Required
 	// for ctrl-drop/ctrl-delay/ctrl-partition/controller-crash events.
 	Ctrl CtrlPlane
-	// Metrics and Scope instrument injections; either may be nil.
-	Metrics *obs.Registry
-	Scope   *obs.Scope
+	// Scope traces injections; may be nil.
+	Scope *obs.Scope
 }
 
 // Injector is an installed schedule. All events are pre-resolved and
@@ -41,8 +40,7 @@ type Injector struct {
 	// link-flap of Count 3 fires 3, each drop window fires 1).
 	Injected uint64
 
-	sc       *obs.Scope
-	injected *obs.Counter
+	sc *obs.Scope
 }
 
 // lossState tracks the combined drop/corrupt probability per port so
@@ -56,9 +54,6 @@ type lossState struct{ drop, corrupt float64 }
 // mistakes (bad selector index, missing binding for a kind).
 func Install(s *Schedule, b Binding) (*Injector, error) {
 	inj := &Injector{sc: b.Scope}
-	if b.Metrics != nil {
-		inj.injected = b.Metrics.Counter("faults", "injected")
-	}
 	if s == nil {
 		return inj, nil
 	}
@@ -105,7 +100,6 @@ func uplink(node *netsim.Node) (*netsim.Port, error) {
 // fired accounts one primitive injection.
 func (inj *Injector) fired(at sim.Time, ev Event, detail string) {
 	inj.Injected++
-	inj.injected.Inc()
 	if inj.sc.Enabled() {
 		inj.sc.Instant(at, "faults", string(ev.Kind)+" "+ev.Where+" "+detail)
 	}
@@ -248,12 +242,9 @@ func (inj *Injector) install(ev Event, b Binding, loss map[*netsim.Port]*lossSta
 	return nil
 }
 
-// CollectMetrics folds the injector's counters into a registry (the
-// live counter already accumulates; this covers registries attached
-// only for end-of-run collection). Nil-safe.
-func (inj *Injector) CollectMetrics(reg *obs.Registry, labels ...obs.Label) {
-	if inj == nil || reg == nil || inj.injected != nil {
-		return
-	}
-	reg.Counter("faults", "injected", labels...).Add(float64(inj.Injected))
+// Instrument registers the injection count with a metrics registry,
+// unlabelled, so one series totals every run sharing the registry. Nil
+// reg is a no-op.
+func (inj *Injector) Instrument(reg *obs.Registry) {
+	reg.CounterFunc("faults", "injected", obs.U64(&inj.Injected))
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 
 	"srcsim/internal/core"
 	"srcsim/internal/devrun"
@@ -31,6 +33,35 @@ func Fig9Config() ssd.Config {
 type RateEvent struct {
 	At         sim.Time
 	DemandGbps float64
+}
+
+// parseEvents parses a comma-separated list of ms:Gbps congestion
+// events, e.g. "60:6,100:3"; the empty string yields nil (the paper's
+// default schedule).
+func parseEvents(s string) ([]RateEvent, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []RateEvent
+	for _, part := range strings.Split(s, ",") {
+		msStr, gbpsStr, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("harness: bad event %q (want ms:Gbps)", part)
+		}
+		ms, err := strconv.ParseFloat(msStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("harness: bad event time %q: %v", msStr, err)
+		}
+		gbps, err := strconv.ParseFloat(gbpsStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("harness: bad event rate %q: %v", gbpsStr, err)
+		}
+		out = append(out, RateEvent{
+			At:         sim.Time(ms * float64(sim.Millisecond)),
+			DemandGbps: gbps,
+		})
+	}
+	return out, nil
 }
 
 // DefaultFig9Events mirrors the paper's sequence: two pause events

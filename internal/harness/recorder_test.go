@@ -73,7 +73,7 @@ func TestFlightRecorderFig7(t *testing.T) {
 					sawQueue = true
 				}
 			}
-		case strings.HasSuffix(s.Name, "_rate_gbps"):
+		case strings.HasPrefix(s.Name, "flow_rate_gbps{"):
 			for _, v := range s.V {
 				if v < 9 {
 					sawRateCut = true

@@ -387,9 +387,14 @@ func init() {
 		TPM:   TPMFig9,
 		Params: []Param{
 			{Name: "seed", Default: "5", Help: "workload seed"},
+			{Name: "events", Default: "", Help: "comma-separated ms:Gbps congestion events (empty: the paper's 60:6,100:3,140:6,180:10)"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
 			seed, err := p.Uint64("seed")
+			if err != nil {
+				return nil, err
+			}
+			events, err := parseEvents(p["events"])
 			if err != nil {
 				return nil, err
 			}
@@ -397,7 +402,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			res, err := Fig9DynamicControl(tpm, nil, 0, seed)
+			res, err := Fig9DynamicControl(tpm, events, 0, seed)
 			if err != nil {
 				return nil, err
 			}

@@ -22,7 +22,7 @@ package hpcc
 import (
 	"fmt"
 
-	"srcsim/internal/obs/timeseries"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 )
 
@@ -223,10 +223,9 @@ func (rp *RP) setRate(newRate float64) {
 	}
 }
 
-// SampleSeries is the reaction point's flight-recorder probe: the
-// current rate and the bottleneck utilisation of the last INT sample.
-// Read-only.
-func (rp *RP) SampleSeries(track, prefix string, emit timeseries.Emit) {
-	emit(track, prefix+"_rate_gbps", timeseries.Gauge, rp.rate/1e9)
-	emit(track, prefix+"_util", timeseries.Gauge, rp.lastU)
+// Instrument registers the bottleneck utilisation of the last INT
+// sample as a recorder-only series (the fabric registers the current
+// rate).
+func (rp *RP) Instrument(reg *obs.Registry, labels ...obs.Label) {
+	reg.GaugeFunc("hpcc", "util", obs.Probe, rp.Utilisation, labels...)
 }

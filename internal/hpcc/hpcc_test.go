@@ -3,7 +3,7 @@ package hpcc
 import (
 	"testing"
 
-	"srcsim/internal/obs/timeseries"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 )
 
@@ -103,17 +103,17 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSampleSeries(t *testing.T) {
+func TestInstrument(t *testing.T) {
 	rp := NewRP(Config{LineRate: 10e9})
-	got := map[string]float64{}
-	rp.SampleSeries("net", "flow0", func(track, name string, k timeseries.Kind, v float64) {
-		got[name] = v
-	})
-	if got["flow0_rate_gbps"] != 10 {
-		t.Fatalf("rate series %v, want 10", got["flow0_rate_gbps"])
+	reg := obs.NewRegistry()
+	rp.Instrument(reg, obs.L("flow", "0"))
+	snap := reg.Snapshot()
+	if _, ok := snap.Gauges["hpcc/util{flow=0}"]; !ok {
+		t.Fatalf("missing util series in %v", snap.Gauges)
 	}
-	if _, ok := got["flow0_util"]; !ok {
-		t.Fatal("missing util series")
+	reg.Fold()
+	if reg.NumSeries() != 0 {
+		t.Fatal("recorder-only util series stored by the fold")
 	}
 }
 

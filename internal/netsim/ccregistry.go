@@ -18,6 +18,7 @@ import (
 	"srcsim/internal/ccaimd"
 	"srcsim/internal/dcqcn"
 	"srcsim/internal/hpcc"
+	"srcsim/internal/obs"
 	"srcsim/internal/pfconly"
 	"srcsim/internal/sim"
 	"srcsim/internal/timely"
@@ -37,6 +38,14 @@ type INTObserver interface {
 type ECNEchoObserver interface {
 	// OnAckECN delivers one acknowledgement's echoed ECN mark state.
 	OnAckECN(marked bool)
+}
+
+// Instrumented is the capability a RateController implements to register
+// its per-flow state (target rate, congestion estimate, ...) with the
+// metrics registry; the fabric calls it once per flow, with the fabric
+// labels plus a flow label, when observability is on.
+type Instrumented interface {
+	Instrument(reg *obs.Registry, labels ...obs.Label)
 }
 
 // CCEnv is the construction context a scheme's New receives: the event

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"srcsim/internal/dcqcn"
 	"srcsim/internal/hpcc"
 	"srcsim/internal/obs"
 	"srcsim/internal/sim"
@@ -50,28 +51,26 @@ type Network struct {
 	LinkUps          uint64
 }
 
-// netObs holds the fabric's resolved instrumentation handles; nil when
-// observability is off, so hot paths pay a single pointer test.
+// netObs holds the fabric's instrumentation: the registry and labels
+// per-flow series register under, plus handles for the quantities no
+// field holds. nil when observability is off, so hot paths pay a single
+// pointer test.
 type netObs struct {
-	sc *obs.Scope
+	sc     *obs.Scope
+	reg    *obs.Registry
+	labels []obs.Label
 
-	ecnMarks      *obs.Counter
-	pfcPauses     *obs.Counter
-	pfcResumes    *obs.Counter
-	cnpsSent      *obs.Counter
-	queuePeak     *obs.Gauge
-	watchdogTrips *obs.Counter
+	queuePeak *obs.Gauge
 
 	// Shared DCQCN per-flow handles (see dcqcn.RPObs).
-	rpCNPs      *obs.Counter
-	rpCuts      *obs.Counter
-	rpIncreases *obs.Counter
-	rpCutDepth  *obs.Histogram
+	rpCuts     *obs.Counter
+	rpCutDepth *obs.Histogram
 }
 
 // Instrument attaches the fabric to a metrics registry and trace scope.
-// Either may be nil. Call before traffic starts: flows created after
-// this call inherit DCQCN instrumentation; flows created before do not.
+// Either may be nil. The fabric's counter fields register as
+// read-through series; flows created after this call register their own
+// state and inherit DCQCN instrumentation, flows created before do not.
 // With both arguments nil the call is a no-op and the fabric stays on
 // its zero-overhead path.
 func (n *Network) Instrument(reg *obs.Registry, sc *obs.Scope, labels ...obs.Label) {
@@ -79,18 +78,99 @@ func (n *Network) Instrument(reg *obs.Registry, sc *obs.Scope, labels ...obs.Lab
 		return
 	}
 	n.obs = &netObs{
-		sc:            sc,
-		ecnMarks:      reg.Counter("netsim", "ecn_marks", labels...),
-		pfcPauses:     reg.Counter("netsim", "pfc_pauses", labels...),
-		pfcResumes:    reg.Counter("netsim", "pfc_resumes", labels...),
-		cnpsSent:      reg.Counter("netsim", "cnps_sent", labels...),
-		queuePeak:     reg.Gauge("netsim", "port_queue_peak_bytes", labels...),
-		watchdogTrips: reg.Counter("netsim", "pfc_watchdog_trips", labels...),
-		rpCNPs:        reg.Counter("dcqcn", "cnps_received", labels...),
-		rpCuts:        reg.Counter("dcqcn", "rate_cuts", labels...),
-		rpIncreases:   reg.Counter("dcqcn", "rate_increases", labels...),
-		rpCutDepth:    reg.Histogram("dcqcn", "cut_depth_pct", labels...),
+		sc:         sc,
+		reg:        reg,
+		labels:     labels,
+		queuePeak:  reg.Gauge("netsim", "port_queue_peak_bytes", labels...),
+		rpCuts:     reg.Counter("dcqcn", "rate_cuts", labels...),
+		rpCutDepth: reg.Histogram("dcqcn", "cut_depth_pct", labels...),
 	}
+	if reg == nil {
+		return
+	}
+	for name, v := range map[string]*uint64{
+		"ecn_marks":          &n.ECNMarks,
+		"pfc_pauses":         &n.PFCPauses,
+		"pfc_resumes":        &n.PFCResumes,
+		"cnps_sent":          &n.CNPsSent,
+		"pfc_watchdog_trips": &n.WatchdogTrips,
+		"dropped_packets":    &n.DroppedPackets,
+		"corrupted_packets":  &n.CorruptedPackets,
+		"route_drops":        &n.RouteDrops,
+		"link_downs":         &n.LinkDowns,
+		"forced_pauses":      &n.ForcedPauses,
+	} {
+		reg.CounterFunc("netsim", name, obs.U64(v), labels...)
+	}
+	nics := func(field func(*HostNIC) uint64) func() float64 {
+		return func() float64 {
+			var total uint64
+			for _, node := range n.nodes {
+				if node.NIC != nil {
+					total += field(node.NIC)
+				}
+			}
+			return float64(total)
+		}
+	}
+	reg.CounterFunc("netsim", "nic_bytes_sent", nics(func(c *HostNIC) uint64 { return c.BytesSent }), labels...)
+	reg.CounterFunc("netsim", "nic_bytes_received", nics(func(c *HostNIC) uint64 { return c.BytesReceived }), labels...)
+	reg.CounterFunc("netsim", "nic_msgs_delivered", nics(func(c *HostNIC) uint64 { return c.MsgsDelivered }), labels...)
+	rps := func(field func(*dcqcn.RP) uint64) func() float64 {
+		return func() float64 {
+			var total uint64
+			for _, f := range n.flows {
+				if rp, ok := f.RP.(*dcqcn.RP); ok {
+					total += field(rp)
+				}
+			}
+			return float64(total)
+		}
+	}
+	reg.CounterFunc("dcqcn", "cnps_received", rps(func(rp *dcqcn.RP) uint64 { return rp.CNPs }), labels...)
+	reg.CounterFunc("dcqcn", "rate_increases", rps(func(rp *dcqcn.RP) uint64 { return rp.RateIncreases }), labels...)
+
+	reg.GaugeFunc("netsim", "switch_queue_bytes_total", obs.Probe, func() float64 {
+		return float64(n.SwitchQueuedBytes())
+	}, labels...)
+	reg.GaugeFunc("netsim", "switch_queue_bytes_max", obs.Probe, func() float64 {
+		var peak int64
+		for _, node := range n.nodes {
+			if node.IsSwitch {
+				for _, p := range node.ports {
+					peak = max(peak, p.QueueBytes)
+				}
+			}
+		}
+		return float64(peak)
+	}, labels...)
+	reg.GaugeFunc("netsim", "ports_paused", obs.Probe, func() float64 {
+		paused := 0
+		for _, node := range n.nodes {
+			for _, p := range node.ports {
+				if p.paused {
+					paused++
+				}
+			}
+		}
+		return float64(paused)
+	}, labels...)
+}
+
+// SwitchQueuedBytes returns the total bytes queued at switch egress
+// ports — the fabric-load probe behind the control plane's
+// congestion-coupled message delay.
+func (n *Network) SwitchQueuedBytes() int64 {
+	var total int64
+	for _, node := range n.nodes {
+		if !node.IsSwitch {
+			continue
+		}
+		for _, p := range node.ports {
+			total += p.QueueBytes
+		}
+	}
+	return total
 }
 
 // NewNetwork builds an empty fabric on eng.
@@ -369,12 +449,9 @@ func (p *Port) enqueueData(pkt *Packet) {
 		if net.rng.Float64() < net.Cfg.DCQCN.MarkProbability(p.QueueBytes) {
 			pkt.ECN = true
 			net.ECNMarks++
-			if o := net.obs; o != nil {
-				o.ecnMarks.Inc()
-				if o.sc.Enabled() {
-					o.sc.Instant(net.eng.Now(), "netsim", "ecn_mark "+p.node.Name,
-						obs.Num("queue_bytes", float64(p.QueueBytes)))
-				}
+			if o := net.obs; o != nil && o.sc.Enabled() {
+				o.sc.Instant(net.eng.Now(), "netsim", "ecn_mark "+p.node.Name,
+					obs.Num("queue_bytes", float64(p.QueueBytes)))
 			}
 		}
 	}
@@ -401,14 +478,8 @@ func (node *Node) sendPFC(in *Port, kind Kind) {
 	net := node.net
 	if kind == PauseFrame {
 		net.PFCPauses++
-		if net.obs != nil {
-			net.obs.pfcPauses.Inc()
-		}
 	} else {
 		net.PFCResumes++
-		if net.obs != nil {
-			net.obs.pfcResumes.Inc()
-		}
 	}
 	pkt := net.allocPkt()
 	pkt.Src, pkt.Dst = node.ID, in.peer.node.ID
@@ -622,13 +693,10 @@ func (p *Port) armWatchdog() {
 			return
 		}
 		net.WatchdogTrips++
-		if o := net.obs; o != nil {
-			o.watchdogTrips.Inc()
-			if o.sc.Enabled() {
-				o.sc.Instant(net.eng.Now(), "netsim",
-					fmt.Sprintf("pfc_watchdog_trip %s:p%d", p.node.Name, p.index),
-					obs.Num("paused_us", (net.eng.Now()-started).Micros()))
-			}
+		if o := net.obs; o != nil && o.sc.Enabled() {
+			o.sc.Instant(net.eng.Now(), "netsim",
+				fmt.Sprintf("pfc_watchdog_trip %s:p%d", p.node.Name, p.index),
+				obs.Num("paused_us", (net.eng.Now()-started).Micros()))
 		}
 		p.resume()
 	})

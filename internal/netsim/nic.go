@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"fmt"
+	"strconv"
 
 	"srcsim/internal/dcqcn"
 	"srcsim/internal/hpcc"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 )
 
@@ -148,13 +150,19 @@ func (n *Network) NewFlow(src, dst *Node) *Flow {
 	if o := n.obs; o != nil {
 		if rp, ok := f.RP.(*dcqcn.RP); ok {
 			rp.Obs = &dcqcn.RPObs{
-				Scope:         o.sc,
-				Name:          fmt.Sprintf("flow%d %s>%s", f.ID, src.Name, dst.Name),
-				CNPs:          o.rpCNPs,
-				RateCuts:      o.rpCuts,
-				RateIncreases: o.rpIncreases,
-				CutDepth:      o.rpCutDepth,
+				Scope:    o.sc,
+				Name:     fmt.Sprintf("flow%d %s>%s", f.ID, src.Name, dst.Name),
+				RateCuts: o.rpCuts,
+				CutDepth: o.rpCutDepth,
 			}
+		}
+	}
+	if o := n.obs; o != nil && o.reg != nil {
+		fl := append(o.labels[:len(o.labels):len(o.labels)], obs.L("flow", strconv.Itoa(f.ID)))
+		o.reg.GaugeFunc("netsim", "flow_queued_bytes", obs.Probe, func() float64 { return float64(f.QueuedBytes) }, fl...)
+		o.reg.GaugeFunc("netsim", "flow_rate_gbps", obs.Probe, func() float64 { return f.RP.Rate() / 1e9 }, fl...)
+		if in, ok := f.RP.(Instrumented); ok {
+			in.Instrument(o.reg, fl...)
 		}
 	}
 	return f
@@ -304,9 +312,6 @@ func (nic *HostNIC) receive(pkt *Packet) {
 		if pkt.ECN && flow != nil && flow.wantsCNP && flow.NP.OnMarkedPacket(net.eng.Now()) {
 			// Send a CNP back to the sender.
 			net.CNPsSent++
-			if net.obs != nil {
-				net.obs.cnpsSent.Inc()
-			}
 			cnp := net.allocPkt()
 			cnp.Src, cnp.Dst = nic.node.ID, pkt.Src
 			cnp.FlowID, cnp.Size, cnp.Kind = pkt.FlowID, net.Cfg.CtrlPacketSize, CNP

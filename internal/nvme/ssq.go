@@ -57,34 +57,30 @@ type SSQ struct {
 	obs *ssqObs
 }
 
-// ssqObs holds registry handles resolved by Instrument; nil when
-// observability is off.
+// ssqObs holds the occupancy histograms resolved by Instrument; nil
+// when observability is off.
 type ssqObs struct {
-	depth         *obs.Histogram // total SQ occupancy sampled per fetch
-	depthR        *obs.Histogram // RSQ occupancy per fetch
-	depthW        *obs.Histogram // WSQ occupancy per fetch
-	fetchedReads  *obs.Counter
-	fetchedWrites *obs.Counter
-	redirects     *obs.Counter
-	tokenResets   *obs.Counter
+	depth  *obs.Histogram // total SQ occupancy sampled per fetch
+	depthR *obs.Histogram // RSQ occupancy per fetch
+	depthW *obs.Histogram // WSQ occupancy per fetch
 }
 
-// Instrument resolves this SSQ's metric series from reg (nil reg is a
-// no-op). Handles are registry-deduplicated, so SSQs across a flash
-// array sharing labels aggregate into the same series.
+// Instrument registers this SSQ's counters and resolves its occupancy
+// histograms from reg (nil reg is a no-op). SSQs across a flash array
+// sharing labels aggregate into the same series.
 func (s *SSQ) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
 	s.obs = &ssqObs{
-		depth:         reg.Histogram("nvme", "ssq_depth", labels...),
-		depthR:        reg.Histogram("nvme", "rsq_depth", labels...),
-		depthW:        reg.Histogram("nvme", "wsq_depth", labels...),
-		fetchedReads:  reg.Counter("nvme", "ssq_fetched_reads", labels...),
-		fetchedWrites: reg.Counter("nvme", "ssq_fetched_writes", labels...),
-		redirects:     reg.Counter("nvme", "ssq_redirects", labels...),
-		tokenResets:   reg.Counter("nvme", "ssq_token_resets", labels...),
+		depth:  reg.Histogram("nvme", "ssq_depth", labels...),
+		depthR: reg.Histogram("nvme", "rsq_depth", labels...),
+		depthW: reg.Histogram("nvme", "wsq_depth", labels...),
 	}
+	reg.CounterFunc("nvme", "ssq_fetched_reads", obs.U64(&s.FetchedReads), labels...)
+	reg.CounterFunc("nvme", "ssq_fetched_writes", obs.U64(&s.FetchedWrites), labels...)
+	reg.CounterFunc("nvme", "ssq_redirects", obs.U64(&s.Redirected), labels...)
+	reg.CounterFunc("nvme", "ssq_token_resets", obs.U64(&s.TokenResets), labels...)
 }
 
 type blockRef struct {
@@ -149,9 +145,6 @@ func (s *SSQ) Submit(c *Command) {
 	}
 	if target != natural {
 		s.Redirected++
-		if s.obs != nil {
-			s.obs.redirects.Inc()
-		}
 	}
 	c.queueHint = target
 	for b := first; b <= last; b++ {
@@ -203,9 +196,6 @@ func (s *SSQ) Fetch() *Command {
 		if s.rTokens <= 0 && s.wTokens <= 0 {
 			s.rTokens, s.wTokens = s.readWeight, s.writeWeight
 			s.TokenResets++
-			if s.obs != nil {
-				s.obs.tokenResets.Inc()
-			}
 		}
 		// Pick the queue with the larger remaining token fraction for a
 		// smooth interleave; ties favour writes (SRC's priority).
@@ -234,15 +224,9 @@ func (s *SSQ) Fetch() *Command {
 	if c.Op == trace.Read {
 		s.pendingR--
 		s.FetchedReads++
-		if s.obs != nil {
-			s.obs.fetchedReads.Inc()
-		}
 	} else {
 		s.pendingW--
 		s.FetchedWrites++
-		if s.obs != nil {
-			s.obs.fetchedWrites.Inc()
-		}
 	}
 	return c
 }

@@ -23,7 +23,6 @@ import (
 	"srcsim/internal/netsim"
 	"srcsim/internal/nvme"
 	"srcsim/internal/obs"
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 	"srcsim/internal/ssd"
 	"srcsim/internal/trace"
@@ -337,29 +336,23 @@ func (t *Target) TXQCreditLow() int64 { return t.txqCreditLow }
 // device completion on this target.
 func (t *Target) InFlight() int { return len(t.inflight) }
 
-// SampleSeries is the target's flight-recorder probe: TXQ credit and
-// backlog (the paper's Sec. II-B degradation site), in-flight command
-// count, and the aggregate read-data sending rate. Read-only.
-func (t *Target) SampleSeries(track string, emit timeseries.Emit) {
-	emit(track, "txq_credit_bytes", timeseries.Gauge, float64(t.txqCredit))
-	emit(track, "txq_backlog_bytes", timeseries.Gauge, float64(t.TXQBacklog()))
-	emit(track, "inflight_cmds", timeseries.Gauge, float64(len(t.inflight)))
-	emit(track, "read_send_gbps", timeseries.Gauge, t.ReadSendRate()/1e9)
-	emit(track, "dups_dropped", timeseries.Counter, float64(t.DupsDropped))
-}
-
-// CollectMetrics folds the target's end-of-run counters into a metrics
-// registry; counters accumulate across targets sharing labels. Nil reg
-// is a no-op.
-func (t *Target) CollectMetrics(reg *obs.Registry, labels ...obs.Label) {
+// Instrument registers the target's state with a metrics registry:
+// served/duplicate counters, the TXQ credit low-water mark and end-of-run
+// backlog (the paper's Sec. II-B degradation site), and, recorder-only,
+// the live credit, in-flight command count and aggregate read-data
+// sending rate. Targets sharing labels sum. Nil reg is a no-op.
+func (t *Target) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("nvmeof", "reads_served", labels...).Add(float64(t.ReadsServed))
-	reg.Counter("nvmeof", "writes_served", labels...).Add(float64(t.WritesServed))
-	reg.Counter("nvmeof", "dups_dropped", labels...).Add(float64(t.DupsDropped))
-	reg.Gauge("nvmeof", "txq_credit_low_bytes", labels...).SetMin(float64(t.txqCreditLow))
-	reg.Gauge("nvmeof", "txq_backlog_end_bytes", labels...).SetMax(float64(t.TXQBacklog()))
+	reg.CounterFunc("nvmeof", "reads_served", obs.U64(&t.ReadsServed), labels...)
+	reg.CounterFunc("nvmeof", "writes_served", obs.U64(&t.WritesServed), labels...)
+	reg.CounterFunc("nvmeof", "dups_dropped", obs.U64(&t.DupsDropped), labels...)
+	reg.GaugeFunc("nvmeof", "txq_credit_low_bytes", obs.Min, func() float64 { return float64(t.txqCreditLow) }, labels...)
+	reg.GaugeFunc("nvmeof", "txq_backlog_end_bytes", obs.Max, func() float64 { return float64(t.TXQBacklog()) }, labels...)
+	reg.GaugeFunc("nvmeof", "txq_credit_bytes", obs.Probe, func() float64 { return float64(t.txqCredit) }, labels...)
+	reg.GaugeFunc("nvmeof", "inflight_cmds", obs.Probe, func() float64 { return float64(len(t.inflight)) }, labels...)
+	reg.GaugeFunc("nvmeof", "read_send_gbps", obs.Probe, func() float64 { return t.ReadSendRate() / 1e9 }, labels...)
 }
 
 // unitOf routes an LBA to its array unit.
@@ -629,25 +622,18 @@ func (ini *Initiator) expire(op *pendingOp) {
 	ini.eng.AfterArg(ini.retry.backoff(op.attempt), pendingResend, op)
 }
 
-// CollectMetrics folds the initiator's recovery counters into a metrics
-// registry; counters accumulate across initiators sharing labels. Nil
-// reg is a no-op.
-func (ini *Initiator) CollectMetrics(reg *obs.Registry, labels ...obs.Label) {
+// Instrument registers the initiator's recovery counters and,
+// recorder-only, its outstanding retry-armed commands with a metrics
+// registry. Initiators sharing labels sum. Nil reg is a no-op.
+func (ini *Initiator) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("nvmeof", "retries", labels...).Add(float64(ini.Retries))
-	reg.Counter("nvmeof", "timeouts", labels...).Add(float64(ini.Timeouts))
-	reg.Counter("nvmeof", "failed_ops", labels...).Add(float64(ini.FailedOps))
-	reg.Counter("nvmeof", "stale_responses", labels...).Add(float64(ini.StaleResponses))
-}
-
-// SampleSeries is the initiator's flight-recorder probe: outstanding
-// retry-armed commands and the recovery counters. Read-only.
-func (ini *Initiator) SampleSeries(track string, emit timeseries.Emit) {
-	emit(track, "pending_cmds", timeseries.Gauge, float64(len(ini.pending)))
-	emit(track, "retries", timeseries.Counter, float64(ini.Retries))
-	emit(track, "timeouts", timeseries.Counter, float64(ini.Timeouts))
+	reg.CounterFunc("nvmeof", "retries", obs.U64(&ini.Retries), labels...)
+	reg.CounterFunc("nvmeof", "timeouts", obs.U64(&ini.Timeouts), labels...)
+	reg.CounterFunc("nvmeof", "failed_ops", obs.U64(&ini.FailedOps), labels...)
+	reg.CounterFunc("nvmeof", "stale_responses", obs.U64(&ini.StaleResponses), labels...)
+	reg.GaugeFunc("nvmeof", "pending_cmds", obs.Probe, func() float64 { return float64(len(ini.pending)) }, labels...)
 }
 
 func (ini *Initiator) flowTo(m map[netsim.NodeID]*netsim.Flow, dst netsim.NodeID) *netsim.Flow {

@@ -1,7 +1,8 @@
 // Package obs is the simulation-wide observability layer: a
-// zero-dependency metrics registry (counters, gauges, log₂ histograms)
-// and a sim-time event tracer exportable as Chrome trace-event JSON
-// (chrome://tracing / Perfetto).
+// zero-dependency metrics registry (counters, gauges, log₂ histograms,
+// and read-through series over component fields) and a sim-time event
+// tracer exportable as Chrome trace-event JSON (chrome://tracing /
+// Perfetto).
 //
 // Every entry point is nil-safe: a nil *Registry hands out nil handles,
 // and nil handles ignore updates, so components can be instrumented
@@ -156,15 +157,73 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.h.Quantile(q)
 }
 
+// Fold names how a read-through gauge settles into a stored value when
+// the run that registered it ends (see Registry.Fold).
+type Fold uint8
+
+const (
+	// Probe gauges are recorder-only: live snapshots read them, and the
+	// fold drops them without storing a value.
+	Probe Fold = iota
+	// Last stores the final reading, like Gauge.Set.
+	Last
+	// Max keeps the high-water mark, like Gauge.SetMax.
+	Max
+	// Min keeps the low-water mark, like Gauge.SetMin.
+	Min
+)
+
+// settle offers one reading to g through fold.
+func (g *Gauge) settle(fold Fold, v float64) {
+	switch fold {
+	case Last:
+		g.Set(v)
+	case Max:
+		g.SetMax(v)
+	case Min:
+		g.SetMin(v)
+	}
+}
+
+// readThrough is one registry key served by component closures until the
+// next Fold. Every registration of the key appends its closure.
+type readThrough struct {
+	counter bool
+	fold    Fold
+	fs      []func() float64
+}
+
+// sum adds up every registration's reading.
+func (rt *readThrough) sum() float64 {
+	var v float64
+	for _, f := range rt.fs {
+		v += f()
+	}
+	return v
+}
+
+// settle offers every registration's reading to g, in registration order.
+func (rt *readThrough) settle(g *Gauge) {
+	for _, f := range rt.fs {
+		g.settle(rt.fold, f())
+	}
+}
+
 // Registry resolves metric series to handles by component/name/labels.
 // Handle resolution is mutex-guarded; handle updates are not — the
 // simulation kernel is single-threaded by design, and handles must only
 // be touched from event callbacks.
+//
+// A component whose own field already holds a quantity registers it as
+// a read-through series (CounterFunc, GaugeFunc) instead of mirroring it
+// into a handle: snapshots call the closure, and Fold settles the
+// reading into a stored value when the run ends.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	funcs    map[string]*readThrough
 }
 
 // NewRegistry returns an empty registry.
@@ -173,7 +232,18 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		funcs:    make(map[string]*readThrough),
 	}
+}
+
+// resolve returns m[k], creating it if absent. The caller holds r.mu.
+func resolve[T any](m map[string]*T, k string) *T {
+	v, ok := m[k]
+	if !ok {
+		v = new(T)
+		m[k] = v
+	}
+	return v
 }
 
 // Counter resolves (creating if absent) a counter series. Returns nil on
@@ -185,12 +255,7 @@ func (r *Registry) Counter(component, name string, labels ...Label) *Counter {
 	k := seriesKey(component, name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return resolve(r.counters, k)
 }
 
 // Gauge resolves (creating if absent) a gauge series. Returns nil on a
@@ -202,12 +267,7 @@ func (r *Registry) Gauge(component, name string, labels ...Label) *Gauge {
 	k := seriesKey(component, name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return resolve(r.gauges, k)
 }
 
 // Histogram resolves (creating if absent) a histogram series. Returns
@@ -219,22 +279,71 @@ func (r *Registry) Histogram(component, name string, labels ...Label) *Histogram
 	k := seriesKey(component, name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
+	return resolve(r.hists, k)
+}
+
+// CounterFunc registers a read-through counter: snapshots report the
+// key's stored total plus the sum of every registration's f, and Fold
+// adds that sum to the stored total. f must be read-only — snapshots run
+// as engine events. No-op on a nil registry.
+func (r *Registry) CounterFunc(component, name string, f func() float64, labels ...Label) {
+	r.register(seriesKey(component, name, labels), true, Probe, f)
+}
+
+// U64 adapts a uint64 counter field to a read-through closure.
+func U64(p *uint64) func() float64 {
+	return func() float64 { return float64(*p) }
+}
+
+// GaugeFunc registers a read-through gauge. Snapshots offer each
+// registration's reading to the key's stored gauge through fold (a
+// Probe gauge reports the sum of its readings instead), and Fold stores
+// the result — except for Probe gauges, which leave nothing behind. f
+// must be read-only. No-op on a nil registry.
+func (r *Registry) GaugeFunc(component, name string, fold Fold, f func() float64, labels ...Label) {
+	r.register(seriesKey(component, name, labels), false, fold, f)
+}
+
+func (r *Registry) register(k string, counter bool, fold Fold, f func() float64) {
+	if r == nil {
+		return
 	}
-	return h
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rt, ok := r.funcs[k]
+	if !ok {
+		rt = &readThrough{counter: counter, fold: fold}
+		r.funcs[k] = rt
+	}
+	rt.fs = append(rt.fs, f)
+}
+
+// Fold settles every read-through series into its stored value — sum
+// for counters, the registered Fold for gauges, nothing for probes —
+// and drops the closures, so the components they read become
+// unreachable from the registry. Runs that share a registry fold in
+// turn, which accumulates exactly like handle updates would. No-op on a
+// nil registry.
+func (r *Registry) Fold() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, rt := range r.funcs {
+		switch {
+		case rt.counter:
+			resolve(r.counters, k).Add(rt.sum())
+		case rt.fold != Probe:
+			rt.settle(resolve(r.gauges, k))
+		}
+	}
+	clear(r.funcs)
 }
 
 // NumSeries returns the number of distinct series (0 on nil).
 func (r *Registry) NumSeries() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.counters) + len(r.gauges) + len(r.hists)
+	return r.Snapshot().NumSeries()
 }
 
 // HistogramSnapshot is the JSON digest of one histogram series.
@@ -262,7 +371,8 @@ func (s Snapshot) NumSeries() int {
 	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 }
 
-// Snapshot copies the registry's current state.
+// Snapshot copies the registry's current state, reading every
+// read-through series.
 func (r *Registry) Snapshot() Snapshot {
 	var snap Snapshot
 	if r == nil {
@@ -270,17 +380,34 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		snap.Counters = make(map[string]float64, len(r.counters))
-		for k, c := range r.counters {
-			snap.Counters[k] = c.v
+	counters := make(map[string]float64, len(r.counters))
+	for k, c := range r.counters {
+		counters[k] = c.v
+	}
+	gauges := make(map[string]float64, len(r.gauges))
+	for k, g := range r.gauges {
+		gauges[k] = g.v
+	}
+	for k, rt := range r.funcs {
+		switch {
+		case rt.counter:
+			counters[k] += rt.sum()
+		case rt.fold == Probe:
+			gauges[k] = rt.sum()
+		default:
+			var g Gauge
+			if stored := r.gauges[k]; stored != nil {
+				g = *stored
+			}
+			rt.settle(&g)
+			gauges[k] = g.v
 		}
 	}
-	if len(r.gauges) > 0 {
-		snap.Gauges = make(map[string]float64, len(r.gauges))
-		for k, g := range r.gauges {
-			snap.Gauges[k] = g.v
-		}
+	if len(counters) > 0 {
+		snap.Counters = counters
+	}
+	if len(gauges) > 0 {
+		snap.Gauges = gauges
 	}
 	if len(r.hists) > 0 {
 		snap.Histograms = make(map[string]HistogramSnapshot, len(r.hists))

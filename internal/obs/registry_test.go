@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -265,4 +266,91 @@ func TestMergeAfterWithoutComponentByteStable(t *testing.T) {
 	if !bytes.Equal(encode(direct), encode(again)) {
 		t.Fatal("merge pipeline not deterministic")
 	}
+}
+
+func TestReadThroughRegistrationsSum(t *testing.T) {
+	r := NewRegistry()
+	a, b := uint64(2), uint64(5)
+	r.CounterFunc("ssd", "reads", U64(&a), L("mode", "m"))
+	r.CounterFunc("ssd", "reads", U64(&b), L("mode", "m"))
+	r.GaugeFunc("nvmeof", "inflight", Probe, func() float64 { return 3 })
+	r.GaugeFunc("nvmeof", "inflight", Probe, func() float64 { return 4 })
+	snap := r.Snapshot()
+	if got := snap.Counters["ssd/reads{mode=m}"]; got != 7 {
+		t.Fatalf("counter registrations read %v, want 7", got)
+	}
+	if got := snap.Gauges["nvmeof/inflight"]; got != 7 {
+		t.Fatalf("probe registrations read %v, want 7", got)
+	}
+	a = 10 // snapshots read the field, not a copy
+	if got := r.Snapshot().Counters["ssd/reads{mode=m}"]; got != 15 {
+		t.Fatalf("counter after field update reads %v, want 15", got)
+	}
+}
+
+func TestReadThroughFoldMatchesAddAccumulation(t *testing.T) {
+	runs := [][]uint64{{3, 4}, {5}}
+	handles, funcs := NewRegistry(), NewRegistry()
+	for _, fields := range runs {
+		for i := range fields {
+			handles.Counter("netsim", "ecn_marks").Add(float64(fields[i]))
+			funcs.CounterFunc("netsim", "ecn_marks", U64(&fields[i]))
+		}
+		funcs.Fold()
+	}
+	want := handles.Snapshot()
+	if got := funcs.Snapshot(); got.Counters["netsim/ecn_marks"] != 12 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded runs %+v, Add accumulation %+v", got, want)
+	}
+}
+
+func TestReadThroughGaugesFoldAsWatermarks(t *testing.T) {
+	r := NewRegistry()
+	run := func(hi, lo, last []float64) {
+		for i := range hi {
+			hi, lo, last := hi[i], lo[i], last[i]
+			r.GaugeFunc("ssd", "peak", Max, func() float64 { return hi })
+			r.GaugeFunc("nvmeof", "credit_low", Min, func() float64 { return lo })
+			r.GaugeFunc("ctrlplane", "epoch", Last, func() float64 { return last })
+		}
+		r.Fold()
+	}
+	run([]float64{4, 9}, []float64{-3, 2}, []float64{1, 2})
+	run([]float64{6}, []float64{5}, []float64{3})
+	g := r.Snapshot().Gauges
+	if g["ssd/peak"] != 9 || g["nvmeof/credit_low"] != -3 || g["ctrlplane/epoch"] != 3 {
+		t.Fatalf("watermarks %v, want peak 9, credit_low -3, epoch 3", g)
+	}
+}
+
+func TestReadThroughFoldDropsProbesAndClosures(t *testing.T) {
+	r := NewRegistry()
+	folded := false
+	read := func() float64 {
+		if folded {
+			t.Fatal("closure read after the fold")
+		}
+		return 1
+	}
+	r.CounterFunc("netsim", "pfc_pauses", read)
+	r.GaugeFunc("ssd", "write_amplification", Max, read)
+	r.GaugeFunc("netsim", "switch_queue_bytes_total", Probe, read)
+	if n := r.NumSeries(); n != 3 {
+		t.Fatalf("%d live series, want 3", n)
+	}
+	r.Fold()
+	folded = true
+	snap := r.Snapshot()
+	if _, ok := snap.Gauges["netsim/switch_queue_bytes_total"]; ok {
+		t.Fatal("recorder-only gauge stored by the fold")
+	}
+	if snap.Counters["netsim/pfc_pauses"] != 1 || snap.Gauges["ssd/write_amplification"] != 1 {
+		t.Fatalf("folded values %+v", snap)
+	}
+	if len(r.funcs) != 0 {
+		t.Fatalf("%d read-through series left after the fold", len(r.funcs))
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("a", "b", read)
+	nilReg.Fold()
 }

@@ -1,11 +1,12 @@
 // Package timeseries is the flight recorder: the time dimension of the
-// observability layer. A Recorder samples the simulation periodically —
-// on the sim clock, as ordinary engine events, so recording is
-// deterministic and replayable — and stores what it sees in
-// fixed-capacity ring-buffered series: every registry counter and gauge,
-// selected histogram quantiles, and whatever pull-probes the model
-// layers register (queue depth, ECN mark rate, DCQCN rate and alpha,
-// SRC weight, in-flight NVMe-oF commands).
+// observability layer. A Recorder samples a metrics registry
+// periodically — on the sim clock, as ordinary engine events, so
+// recording is deterministic and replayable — and stores what it sees in
+// fixed-capacity ring-buffered series: every counter and gauge,
+// including the read-through series the model layers register for their
+// own state (queue depth, ECN marks, per-flow rate and alpha, SRC
+// weight, TXQ credit, in-flight commands), plus selected histogram
+// quantiles. The registry is the recorder's only input.
 //
 // Recording is change-driven: a sample is stored only when the value
 // differs from the previously stored one (for counters, only when the
@@ -49,15 +50,6 @@ func (k Kind) String() string {
 	}
 	return "gauge"
 }
-
-// Emit records one observation into the recorder. Probes receive an
-// Emit bound to the current sample instant.
-type Emit func(track, name string, kind Kind, v float64)
-
-// Sampler is a pull-probe: called at every sample instant with the
-// current sim time and an Emit sink. Probes must be read-only — they
-// run as engine events and anything they mutate perturbs the run.
-type Sampler func(now sim.Time, emit Emit)
 
 // DefaultInterval is the sample period when the Recorder leaves it zero.
 const DefaultInterval = 100 * sim.Microsecond
@@ -138,16 +130,17 @@ type Recorder struct {
 	// Capacity bounds each series' ring (default 16384 samples).
 	Capacity int
 
+	// series is keyed by registry key (plus a ":stat" suffix for
+	// histogram sub-series).
 	series map[string]*Series
 	// prev holds each series' last raw observation — the subtrahend for
 	// counter deltas and the change filter for gauges.
 	prev map[string]float64
 
 	// Session state while attached to an engine via Start.
-	eng      *sim.Engine
-	reg      *obs.Registry
-	samplers []Sampler
-	ticks    uint64
+	eng   *sim.Engine
+	reg   *obs.Registry
+	ticks uint64
 }
 
 // New returns a Recorder with the given sample interval and per-series
@@ -190,14 +183,13 @@ func (r *Recorder) NumSeries() int {
 
 // Start attaches the recorder to an engine: a sample fires immediately
 // (capturing the t=0 state) and then every Interval, as ordinary engine
-// events. reg, when non-nil, is snapshotted at every sample — each
-// counter/gauge becomes a series under track "metrics", each histogram
-// contributes count/mean/p50/p99/p999 sub-series. samplers are the model
-// layers' pull-probes for the same session. The returned stop cancels
-// the periodic event and takes one final sample at the current instant,
-// so the end-of-run state is always recorded. Nil-safe: a nil recorder
-// returns a no-op stop.
-func (r *Recorder) Start(eng *sim.Engine, reg *obs.Registry, samplers ...Sampler) (stop func()) {
+// events. Each sample snapshots reg: every counter and gauge becomes a
+// series (see split for its track and name), and each histogram
+// contributes count/mean/p50/p99/p999 sub-series. The returned stop
+// cancels the periodic event and takes one final sample at the current
+// instant, so the end-of-run state is always recorded. Nil-safe: a nil
+// recorder returns a no-op stop.
+func (r *Recorder) Start(eng *sim.Engine, reg *obs.Registry) (stop func()) {
 	if r == nil {
 		return func() {}
 	}
@@ -205,75 +197,96 @@ func (r *Recorder) Start(eng *sim.Engine, reg *obs.Registry, samplers ...Sampler
 		r.series = make(map[string]*Series)
 		r.prev = make(map[string]float64)
 	}
-	r.eng, r.reg, r.samplers = eng, reg, samplers
+	r.eng, r.reg = eng, reg
 	cancel := eng.Sampler(r.interval(), r.tick)
 	return func() {
 		cancel()
 		r.tick() // flush: record the drain-time state
-		r.eng, r.reg, r.samplers = nil, nil, nil
+		r.eng, r.reg = nil, nil
 	}
 }
 
-// tick is one sample instant: registry sweep plus every probe.
+// tick is one sample instant: a sweep of the registry snapshot.
 func (r *Recorder) tick() {
 	now := r.eng.Now()
 	r.ticks++
-	emit := func(track, name string, kind Kind, v float64) {
-		r.observe(now, track, name, kind, v)
+	snap := r.reg.Snapshot()
+	for k, v := range snap.Counters {
+		r.observe(now, k, "", Counter, v)
 	}
-	if r.reg != nil {
-		r.sampleRegistry(now)
+	for k, v := range snap.Gauges {
+		r.observe(now, k, "", Gauge, v)
 	}
-	for _, s := range r.samplers {
-		s(now, emit)
+	for k, h := range snap.Histograms {
+		r.observe(now, k, ":count", Counter, float64(h.Count))
+		r.observe(now, k, ":mean", Gauge, h.Mean)
+		r.observe(now, k, ":p50", Gauge, h.P50)
+		r.observe(now, k, ":p99", Gauge, h.P99)
+		r.observe(now, k, ":p999", Gauge, h.P999)
 	}
 }
 
-// observe applies the change filter and stores one observation.
-func (r *Recorder) observe(at sim.Time, track, name string, kind Kind, raw float64) {
-	key := track + "\x00" + name
-	s, ok := r.series[key]
+// split maps a registry key "component/name{labels}" to a recorder
+// track and series name. The mode label, when present, prefixes the
+// track ("DCQCN-SRC/netsim"), so CompareModes legs sharing one recorder
+// land in distinct tracks; the other labels stay on the name
+// ("flow_rate_gbps{flow=3}").
+func split(key string) (track, name string) {
+	track, name, _ = strings.Cut(key, "/")
+	base, labels, ok := strings.Cut(name, "{")
 	if !ok {
-		s = &Series{Track: track, Name: name, Kind: kind}
+		return track, name
+	}
+	var mode string
+	rest := make([]string, 0, 2)
+	for _, l := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+		if v, isMode := strings.CutPrefix(l, "mode="); isMode {
+			mode = v
+		} else {
+			rest = append(rest, l)
+		}
+	}
+	if mode != "" {
+		track = mode + "/" + track
+	}
+	if len(rest) > 0 {
+		base += "{" + strings.Join(rest, ",") + "}"
+	}
+	return track, base
+}
+
+// observe applies the change filter and stores one observation of the
+// registry series key (stat names a histogram sub-series).
+func (r *Recorder) observe(at sim.Time, key, stat string, kind Kind, raw float64) {
+	id := key + stat
+	s, ok := r.series[id]
+	if !ok {
+		track, name := split(key)
+		s = &Series{Track: track, Name: name + stat, Kind: kind}
 		s.t = make([]int64, 0, r.capacity())
 		s.v = make([]float64, 0, r.capacity())
-		r.series[key] = s
+		r.series[id] = s
 	}
 	switch kind {
 	case Counter:
-		delta := raw - r.prev[key]
+		delta := raw - r.prev[id]
+		if raw < r.prev[id] {
+			// A counter below its last reading comes from a fresh
+			// registry (a later run's private one): the reading itself
+			// is the growth since then.
+			delta = raw
+		}
 		if delta == 0 {
 			return
 		}
-		r.prev[key] = raw
+		r.prev[id] = raw
 		s.append(at, delta)
 	default:
-		if prev, seen := r.prev[key]; seen && prev == raw {
+		if prev, seen := r.prev[id]; seen && prev == raw {
 			return
 		}
-		r.prev[key] = raw
+		r.prev[id] = raw
 		s.append(at, raw)
-	}
-}
-
-// sampleRegistry sweeps a registry snapshot into series under the
-// "metrics" track. Registry keys already carry the component and mode
-// labels, so CompareModes legs sharing one recorder land in distinct
-// series.
-func (r *Recorder) sampleRegistry(now sim.Time) {
-	snap := r.reg.Snapshot()
-	for k, v := range snap.Counters {
-		r.observe(now, "metrics", k, Counter, v)
-	}
-	for k, v := range snap.Gauges {
-		r.observe(now, "metrics", k, Gauge, v)
-	}
-	for k, h := range snap.Histograms {
-		r.observe(now, "metrics", k+":count", Counter, float64(h.Count))
-		r.observe(now, "metrics", k+":mean", Gauge, h.Mean)
-		r.observe(now, "metrics", k+":p50", Gauge, h.P50)
-		r.observe(now, "metrics", k+":p99", Gauge, h.P99)
-		r.observe(now, "metrics", k+":p999", Gauge, h.P999)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestRecorderSamplesOnSimClock(t *testing.T) {
 	for _, d := range dump {
 		byName[d.Name] = d
 	}
-	ev, ok := byName["c/events"]
+	ev, ok := byName["events"]
 	if !ok {
 		t.Fatalf("counter series missing; have %v", names(dump))
 	}
@@ -74,7 +74,7 @@ func TestRecorderSamplesOnSimClock(t *testing.T) {
 	if total != cnt.Value() {
 		t.Fatalf("deltas sum to %v, counter at %v", total, cnt.Value())
 	}
-	lv, ok := byName["c/level"]
+	lv, ok := byName["level"]
 	if !ok {
 		t.Fatal("gauge series missing")
 	}
@@ -99,10 +99,10 @@ func TestRecorderProbesAndFinalFlush(t *testing.T) {
 	eng.Schedule(34, func() { level = 2 }) // between ticks; caught by the stop() flush
 	eng.Schedule(35, func() { eng.Stop() })
 
+	reg := obs.NewRegistry()
+	reg.GaugeFunc("probe", "level", obs.Probe, func() float64 { return level })
 	r := New(10, 0)
-	stop := r.Start(eng, nil, func(now sim.Time, emit Emit) {
-		emit("probe", "level", Gauge, level)
-	})
+	stop := r.Start(eng, reg)
 	eng.RunUntilIdle()
 	stop()
 
@@ -124,10 +124,10 @@ func TestRingEviction(t *testing.T) {
 	v := 0.0
 	eng.Ticker(1, func() { v++ })
 	eng.Schedule(100, func() { eng.Stop() })
+	reg := obs.NewRegistry()
+	reg.GaugeFunc("p", "v", obs.Probe, func() float64 { return v })
 	r := New(1, 8)
-	stop := r.Start(eng, nil, func(now sim.Time, emit Emit) {
-		emit("p", "v", Gauge, v)
-	})
+	stop := r.Start(eng, reg)
 	eng.RunUntilIdle()
 	stop()
 	d := r.Dump(0)[0]
@@ -161,10 +161,9 @@ func TestExportsDeterministicAndParseable(t *testing.T) {
 		h := reg.Histogram("x", "lat")
 		eng.Ticker(3, func() { a.Inc(); h.Observe(float64(eng.Now())) })
 		eng.Schedule(30, func() { eng.Stop() })
+		reg.GaugeFunc("z", "probe", obs.Probe, func() float64 { return float64(eng.Now()) })
 		r := New(5, 0)
-		stop := r.Start(eng, reg, func(now sim.Time, emit Emit) {
-			emit("z", "probe", Gauge, float64(now))
-		})
+		stop := r.Start(eng, reg)
 		eng.RunUntilIdle()
 		stop()
 		var csv, jsonl bytes.Buffer
@@ -210,10 +209,10 @@ func TestChromeCounterExport(t *testing.T) {
 	total := 0.0
 	eng.Ticker(2, func() { total += 4 })
 	eng.Schedule(20, func() { eng.Stop() })
+	reg := obs.NewRegistry()
+	reg.CounterFunc("net", "bytes", func() float64 { return total })
 	r := New(10, 0)
-	stop := r.Start(eng, nil, func(now sim.Time, emit Emit) {
-		emit("net", "bytes", Counter, total)
-	})
+	stop := r.Start(eng, reg)
 	eng.RunUntilIdle()
 	stop()
 
@@ -244,4 +243,29 @@ func names(ds []SeriesDump) []string {
 		out = append(out, d.Track+"/"+d.Name)
 	}
 	return out
+}
+
+// TestCounterAcrossFreshRegistries: one recorder shared by runs that
+// each bring a private registry sees the second run's counter restart
+// from zero; the recorded deltas still sum to both runs' totals.
+func TestCounterAcrossFreshRegistries(t *testing.T) {
+	r := New(10, 0)
+	for _, total := range []float64{5, 3} {
+		eng := sim.NewEngine()
+		reg := obs.NewRegistry()
+		n := 0.0
+		reg.CounterFunc("faults", "injected", func() float64 { return n })
+		eng.Schedule(15, func() { n = total })
+		eng.Schedule(30, func() { eng.Stop() })
+		stop := r.Start(eng, reg)
+		eng.RunUntilIdle()
+		stop()
+	}
+	d := r.Dump(0)
+	if len(d) != 1 || d[0].Track != "faults" || d[0].Name != "injected" {
+		t.Fatalf("series %v", names(d))
+	}
+	if vs := d[0].V; len(vs) != 2 || vs[0] != 5 || vs[1] != 3 {
+		t.Fatalf("deltas %v, want [5 3]", vs)
+	}
 }

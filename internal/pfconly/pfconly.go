@@ -15,7 +15,6 @@ package pfconly
 import (
 	"fmt"
 
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
 
@@ -156,9 +155,4 @@ func (rp *RP) setRate(newRate float64) {
 	if rp.OnRate != nil {
 		rp.OnRate(old, newRate)
 	}
-}
-
-// SampleSeries is the reaction point's flight-recorder probe. Read-only.
-func (rp *RP) SampleSeries(track, prefix string, emit timeseries.Emit) {
-	emit(track, prefix+"_rate_gbps", timeseries.Gauge, rp.rate/1e9)
 }

@@ -3,7 +3,6 @@ package pfconly
 import (
 	"testing"
 
-	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
 
@@ -82,7 +81,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSampleSeriesAndSurface(t *testing.T) {
+func TestRateAndSurface(t *testing.T) {
 	eng := sim.NewEngine()
 	rp := NewRP(eng, Config{LineRate: 10e9})
 	if rp.NeedsAck() {
@@ -90,11 +89,7 @@ func TestSampleSeriesAndSurface(t *testing.T) {
 	}
 	rp.OnBytesSent(4096)
 	rp.OnAck(10 * sim.Microsecond)
-	got := map[string]float64{}
-	rp.SampleSeries("net", "flow0", func(track, name string, k timeseries.Kind, v float64) {
-		got[name] = v
-	})
-	if got["flow0_rate_gbps"] != 10 {
-		t.Fatalf("rate series %v, want 10", got["flow0_rate_gbps"])
+	if rp.Rate() != 10e9 {
+		t.Fatalf("rate %v, want 10e9", rp.Rate())
 	}
 }

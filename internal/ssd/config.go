@@ -138,8 +138,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors after defaulting.
+// Validate reports configuration errors: a negative value in a field
+// that zero defaults, then inconsistencies after defaulting.
 func (c Config) Validate() error {
+	// Zero means "use the default"; a negative value is a mistake that
+	// withDefaults would otherwise paper over.
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"CMTBytes", c.CMTBytes < 0},
+		{"WriteCacheBytes", c.WriteCacheBytes < 0},
+		{"ChannelBandwidth", c.ChannelBandwidth < 0},
+		{"DRAMLatency", c.DRAMLatency < 0},
+		{"OverProvision", c.OverProvision < 0},
+		{"GCThreshold", c.GCThreshold < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("ssd: %s is negative", f.name)
+		}
+	}
 	c = c.withDefaults()
 	if c.PageSize%512 != 0 {
 		return fmt.Errorf("ssd: page size %d not a multiple of 512", c.PageSize)

@@ -153,28 +153,31 @@ func (d *Device) DieUtilizations() []float64 {
 	return out
 }
 
-// CollectMetrics folds the device's end-of-run counters into a metrics
-// registry. Counters accumulate across devices sharing the same labels
-// (a flash array reports as one series set); gauges keep watermarks.
-// Nil reg is a no-op.
-func (d *Device) CollectMetrics(reg *obs.Registry, labels ...obs.Label) {
+// Instrument registers the device's counters and watermarks with a
+// metrics registry. Devices sharing labels sum (a flash array reports as
+// one series set); gauges keep watermarks across them. Nil reg is a
+// no-op.
+func (d *Device) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("ssd", "completed_reads", labels...).Add(float64(d.CompletedReads))
-	reg.Counter("ssd", "completed_writes", labels...).Add(float64(d.CompletedWrites))
-	reg.Counter("ssd", "read_bytes", labels...).Add(float64(d.ReadBytes))
-	reg.Counter("ssd", "write_bytes", labels...).Add(float64(d.WriteBytes))
-	reg.Counter("ssd", "fetched_commands", labels...).Add(float64(d.FetchedCommands))
-	reg.Counter("ssd", "cmt_hits", labels...).Add(float64(d.cmt.Hits))
-	reg.Counter("ssd", "cmt_misses", labels...).Add(float64(d.cmt.Misses))
-	gcColl, gcReloc, gcErase := d.GCStats()
-	reg.Counter("ssd", "gc_collections", labels...).Add(float64(gcColl))
-	reg.Counter("ssd", "gc_relocations", labels...).Add(float64(gcReloc))
-	reg.Counter("ssd", "gc_erases", labels...).Add(float64(gcErase))
-	reg.Gauge("ssd", "write_amplification", labels...).SetMax(d.WriteAmplification())
-	reg.Gauge("ssd", "cq_parked_peak", labels...).SetMax(float64(d.PeakParked))
-	reg.Gauge("ssd", "write_cache_peak_slots", labels...).SetMax(float64(d.wcache.PeakUsed))
+	for name, v := range map[string]*uint64{
+		"completed_reads":  &d.CompletedReads,
+		"completed_writes": &d.CompletedWrites,
+		"fetched_commands": &d.FetchedCommands,
+		"cmt_hits":         &d.cmt.Hits,
+		"cmt_misses":       &d.cmt.Misses,
+	} {
+		reg.CounterFunc("ssd", name, obs.U64(v), labels...)
+	}
+	reg.CounterFunc("ssd", "read_bytes", func() float64 { return float64(d.ReadBytes) }, labels...)
+	reg.CounterFunc("ssd", "write_bytes", func() float64 { return float64(d.WriteBytes) }, labels...)
+	reg.CounterFunc("ssd", "gc_collections", func() float64 { c, _, _ := d.GCStats(); return float64(c) }, labels...)
+	reg.CounterFunc("ssd", "gc_relocations", func() float64 { _, r, _ := d.GCStats(); return float64(r) }, labels...)
+	reg.CounterFunc("ssd", "gc_erases", func() float64 { _, _, e := d.GCStats(); return float64(e) }, labels...)
+	reg.GaugeFunc("ssd", "write_amplification", obs.Max, d.WriteAmplification, labels...)
+	reg.GaugeFunc("ssd", "cq_parked_peak", obs.Max, func() float64 { return float64(d.PeakParked) }, labels...)
+	reg.GaugeFunc("ssd", "write_cache_peak_slots", obs.Max, func() float64 { return float64(d.wcache.PeakUsed) }, labels...)
 }
 
 // Precondition simulates MQSim-style preconditioning for a workload that

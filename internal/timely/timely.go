@@ -15,7 +15,7 @@ package timely
 import (
 	"fmt"
 
-	"srcsim/internal/obs/timeseries"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 )
 
@@ -177,12 +177,11 @@ func (rp *RP) OnAck(rtt sim.Time) {
 	}
 }
 
-// SampleSeries is the reaction point's flight-recorder probe: the
-// current rate and the smoothed RTT-difference series driving the
-// gradient. Read-only.
-func (rp *RP) SampleSeries(track, prefix string, emit timeseries.Emit) {
-	emit(track, prefix+"_rate_gbps", timeseries.Gauge, rp.rate/1e9)
-	emit(track, prefix+"_rttdiff_us", timeseries.Gauge, rp.rttDiff/1e3)
+// Instrument registers the smoothed RTT-difference series driving the
+// gradient as a recorder-only series (the fabric registers the current
+// rate).
+func (rp *RP) Instrument(reg *obs.Registry, labels ...obs.Label) {
+	reg.GaugeFunc("timely", "rttdiff_us", obs.Probe, func() float64 { return rp.rttDiff / 1e3 }, labels...)
 }
 
 func (rp *RP) setRate(newRate float64) {
