@@ -210,8 +210,10 @@ func (s Spec) withDefaults() Spec {
 		if s.Net.PFCWatchdog <= 0 && r.PFCWatchdog > 0 {
 			s.Net.PFCWatchdog = r.PFCWatchdog
 		}
-		if s.SRC.StaleAfter <= 0 && r.StaleAfter > 0 {
+		if s.SRC.StaleAfter == 0 {
 			s.SRC.StaleAfter = r.StaleAfter
+		}
+		if s.SRC.FallbackWeight == 0 {
 			s.SRC.FallbackWeight = r.FallbackWeight
 		}
 	}
@@ -287,9 +289,6 @@ func New(spec Spec) (*Cluster, error) {
 		return nil, err
 	}
 	if err := spec.SRC.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.Ctrl.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -524,8 +523,7 @@ func New(spec Spec) (*Cluster, error) {
 // controller: through the in-band control plane's publisher when one is
 // enabled, directly into the monitor otherwise. Both paths share the
 // telemetry-stall gate, so the telemetry-stall fault and in-band channel
-// loss starve the controller through the same staleness watchdog and
-// produce consistent Degraded() semantics.
+// loss starve the controller through the same staleness watchdog.
 func (c *Cluster) feedTelemetry(t int, req trace.Request, at sim.Time) {
 	if c.telemetryStalled[t] {
 		return
@@ -537,11 +535,6 @@ func (c *Cluster) feedTelemetry(t int, req trace.Request, at sim.Time) {
 	c.Targets[t].Ctl.Monitor.Record(req, at)
 }
 
-// feedRate routes one demanded-rate event to target t's SRC controller
-// (in-band when the plane is enabled, direct otherwise). Rate events are
-// deliberately not gated by telemetryStalled, matching the historical
-// direct wiring: a stalled monitor feed still hears rate changes and
-// degrades via staleness, not silence.
 // activeCtl returns target t's currently live controller: the plane's
 // active incarnation when the control plane is on (nil while the
 // controller process is down), the fixed direct controller otherwise.
@@ -552,6 +545,11 @@ func (c *Cluster) activeCtl(t int) *core.Controller {
 	return c.Targets[t].Ctl
 }
 
+// feedRate routes one demanded-rate event to target t's SRC controller
+// (in-band when the plane is enabled, direct otherwise). Rate events are
+// deliberately not gated by telemetryStalled, matching the historical
+// direct wiring: a stalled monitor feed still hears rate changes and
+// degrades via staleness, not silence.
 func (c *Cluster) feedRate(t int, rate float64) {
 	if c.plane != nil {
 		c.plane.Publisher(t).RateEvent(rate)

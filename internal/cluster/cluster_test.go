@@ -7,6 +7,7 @@ import (
 
 	"srcsim/internal/core"
 	"srcsim/internal/devrun"
+	"srcsim/internal/faults"
 	"srcsim/internal/ml"
 	"srcsim/internal/sim"
 	"srcsim/internal/ssd"
@@ -353,7 +354,24 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 		{"OverProvision", func(s *Spec) { s.SSD.OverProvision = -0.1 }},
 		{"GCThreshold", func(s *Spec) { s.SSD.GCThreshold = -0.1 }},
 		{"FallbackWeight", func(s *Spec) { s.SRC.FallbackWeight = -2 }},
-		{"FallbackWeight", func(s *Spec) { s.Ctrl.FallbackWeight = -2 }},
+		{"StaleAfter", func(s *Spec) { s.SRC.StaleAfter = -sim.Millisecond }},
+		{"ObserveEvery", func(s *Spec) { s.SRC.Adaptive.ObserveEvery = -1 }},
+		{"WindowSamples", func(s *Spec) { s.SRC.Adaptive.WindowSamples = -1 }},
+		{"MinRetrainSamples", func(s *Spec) { s.SRC.Adaptive.MinRetrainSamples = -1 }},
+		{"RetrainEvery", func(s *Spec) { s.SRC.Adaptive.RetrainEvery = -1 }},
+		{"RetrainTrees", func(s *Spec) { s.SRC.Adaptive.RetrainTrees = -1 }},
+		{"PromoteMargin", func(s *Spec) { s.SRC.Adaptive.PromoteMargin = -0.1 }},
+		{"MaxRejects", func(s *Spec) { s.SRC.Adaptive.MaxRejects = -1 }},
+		{"ErrWindow", func(s *Spec) { s.SRC.Adaptive.ErrWindow = -1 }},
+		{"ErrDegrade", func(s *Spec) { s.SRC.Adaptive.ErrDegrade = -0.1 }},
+		{"ErrHard", func(s *Spec) { s.SRC.Adaptive.ErrHard = -0.1 }},
+		{"ErrHealthy", func(s *Spec) { s.SRC.Adaptive.ErrHealthy = -0.1 }},
+		{"DwellTime", func(s *Spec) { s.SRC.Adaptive.DwellTime = -1 }},
+		{"RecoverAfter", func(s *Spec) { s.SRC.Adaptive.RecoverAfter = -1 }},
+		{"AIMDStep", func(s *Spec) { s.SRC.Adaptive.AIMDStep = -1 }},
+		{"AIMDBackoff", func(s *Spec) { s.SRC.Adaptive.AIMDBackoff = -1.5 }},
+		{"AIMDBackoff", func(s *Spec) { s.SRC.Adaptive.AIMDBackoff = 0.5 }},
+		{"AIMDBackoff", func(s *Spec) { s.SRC.Adaptive.AIMDBackoff = 1 }},
 	} {
 		spec := congestionSpec()
 		spec.Mode = DCQCNSRC
@@ -366,8 +384,39 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 	}
 	// Zero still means "use the default".
 	spec := congestionSpec()
-	spec.SSD.CMTBytes, spec.SRC.FallbackWeight, spec.Ctrl.FallbackWeight = 0, 0, 0
+	spec.SSD.CMTBytes, spec.SRC.FallbackWeight, spec.SRC.StaleAfter = 0, 0, 0
+	spec.SRC.Adaptive = core.AdaptiveConfig{Enabled: true}
 	if _, err := New(spec); err != nil {
 		t.Fatalf("zero values rejected: %v", err)
+	}
+}
+
+// TestWithDefaultsRecoveryMerge: a schedule's Recovery block fills
+// StaleAfter and FallbackWeight independently, each only where the Spec
+// left it zero, so explicit Spec settings always win.
+func TestWithDefaultsRecoveryMerge(t *testing.T) {
+	ms := sim.Millisecond
+	for _, tc := range []struct {
+		name              string
+		specStale, rStale sim.Time
+		specFW, rFW       int
+		wantStale         sim.Time
+		wantFW            int
+	}{
+		{"schedule fills both", 0, 2 * ms, 0, 8, 2 * ms, 8},
+		{"spec weight survives schedule stale_after", 0, 2 * ms, 4, 0, 2 * ms, 4},
+		{"spec weight beats schedule weight", 0, 2 * ms, 4, 8, 2 * ms, 4},
+		{"schedule weight without stale_after", 0, 0, 0, 8, 0, 8},
+		{"spec stale_after beats schedule", ms, 2 * ms, 0, 8, ms, 8},
+		{"spec wins both", ms, 2 * ms, 4, 8, ms, 4},
+	} {
+		var s Spec
+		s.SRC.StaleAfter, s.SRC.FallbackWeight = tc.specStale, tc.specFW
+		s.Faults = &faults.Schedule{Recovery: &faults.Recovery{StaleAfter: tc.rStale, FallbackWeight: tc.rFW}}
+		got := s.withDefaults().SRC
+		if got.StaleAfter != tc.wantStale || got.FallbackWeight != tc.wantFW {
+			t.Errorf("%s: StaleAfter %v FallbackWeight %d, want %v %d",
+				tc.name, got.StaleAfter, got.FallbackWeight, tc.wantStale, tc.wantFW)
+		}
 	}
 }

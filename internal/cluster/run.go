@@ -84,13 +84,14 @@ type Result struct {
 	// WeightEvents merges all SRC adjustments (empty unless DCQCN-SRC).
 	WeightEvents []core.AdjustEvent
 
-	// Adaptive-ladder ledger (empty unless Spec.SRC.Adaptive is armed):
-	// every per-target ladder transition merged in time order, the
-	// retraining counters summed across targets, and the run's
-	// time-to-recover — from the first severe descent (ModelFree or
-	// Static: the model is out of the loop) until every target that left
-	// Predictive is back on it (AdaptRecovered false when the run ends
-	// still degraded).
+	// Degradation-ladder ledger (empty unless a controller left
+	// Predictive, which takes Spec.SRC.Adaptive or a firing StaleAfter
+	// watchdog): every per-target ladder transition merged in time order,
+	// the retraining counters summed across targets (adaptive runs only),
+	// and the run's time-to-recover — from the first severe descent
+	// (ModelFree or Static: the model is out of the loop) until every
+	// target that left Predictive is back on it (AdaptRecovered false
+	// when the run ends still degraded).
 	Ladder         []LadderStep
 	Retrains       uint64
 	Promotions     uint64
@@ -544,9 +545,10 @@ type Summary struct {
 	ForcedPauses     uint64 `json:"forced_pauses,omitempty"`
 	LinkDowns        uint64 `json:"link_downs,omitempty"`
 
-	// Adaptive-ladder ledger, omitted entirely (empty/zero) when
-	// Spec.SRC.Adaptive is off so non-adaptive summaries keep their
-	// historical JSON shape byte-for-byte.
+	// Degradation-ladder ledger, omitted entirely (empty/zero) when no
+	// controller left Predictive, so runs without adaptation and without
+	// a firing staleness watchdog keep their historical JSON shape
+	// byte-for-byte.
 	Ladder         []LadderStep `json:"ladder,omitempty"`
 	Retrains       uint64       `json:"adapt_retrains,omitempty"`
 	Promotions     uint64       `json:"adapt_promotions,omitempty"`

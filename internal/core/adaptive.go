@@ -14,8 +14,10 @@ package core
 //
 //   - A degradation ladder, Predictive → Retraining → ModelFree →
 //     Static. Windowed prediction error drives the upper rungs;
-//     telemetry staleness (the PR 2 machinery) drops straight to
-//     Static. ModelFree is an AIMD weight controller in the shape of a
+//     telemetry staleness (ControllerConfig.StaleAfter) drops straight
+//     to Static. The ladder is every controller's degraded-mode state:
+//     without adaptation only its Predictive↔Static edge is used, with
+//     no dwell. ModelFree is an AIMD weight controller in the shape of a
 //     classic rate controller (cap + multiplicative backoff): the read
 //     share rises additively toward the demanded rate while healthy and
 //     is cut multiplicatively on congestion pressure. Descents are
@@ -29,6 +31,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 
 	"srcsim/internal/ml"
@@ -54,9 +57,10 @@ const (
 	// weights from observed signals alone. Retraining continues in the
 	// background so a promoted model can win the rung back.
 	LadderModelFree
-	// LadderStatic: telemetry is stale — even AIMD's observations
-	// describe traffic that no longer exists — so the conservative
-	// static FallbackWeight is pinned until commands flow again.
+	// LadderStatic: telemetry is stale — the feature window (and
+	// AIMD's observations) describe traffic that no longer exists — so
+	// the conservative static FallbackWeight is pinned until commands
+	// flow again. The only degraded rung a non-adaptive controller uses.
 	LadderStatic
 )
 
@@ -152,6 +156,40 @@ type AdaptiveConfig struct {
 	Cache *cache.Cache
 }
 
+// Validate rejects values withDefaults would silently replace: a
+// negative duration, count or threshold (zero picks the default), and an
+// AIMDBackoff in (0, 1], which would not back off at all.
+func (a AdaptiveConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ObserveEvery", float64(a.ObserveEvery)},
+		{"WindowSamples", float64(a.WindowSamples)},
+		{"MinRetrainSamples", float64(a.MinRetrainSamples)},
+		{"RetrainEvery", float64(a.RetrainEvery)},
+		{"RetrainTrees", float64(a.RetrainTrees)},
+		{"PromoteMargin", a.PromoteMargin},
+		{"MaxRejects", float64(a.MaxRejects)},
+		{"ErrWindow", float64(a.ErrWindow)},
+		{"ErrDegrade", a.ErrDegrade},
+		{"ErrHard", a.ErrHard},
+		{"ErrHealthy", a.ErrHealthy},
+		{"DwellTime", float64(a.DwellTime)},
+		{"RecoverAfter", float64(a.RecoverAfter)},
+		{"AIMDStep", a.AIMDStep},
+		{"AIMDBackoff", a.AIMDBackoff},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: Adaptive.%s %g is negative", f.name, f.v)
+		}
+	}
+	if a.AIMDBackoff > 0 && a.AIMDBackoff <= 1 {
+		return fmt.Errorf("core: Adaptive.AIMDBackoff %g must exceed 1", a.AIMDBackoff)
+	}
+	return nil
+}
+
 // withDefaults fills unset fields.
 func (a AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if a.ObserveEvery <= 0 {
@@ -207,14 +245,11 @@ func (a AdaptiveConfig) withDefaults() AdaptiveConfig {
 // sample layout).
 const adaptiveTrainEpoch = 1
 
-// adaptiveState is the controller's ladder + retraining state; nil when
-// adaptation is disabled.
+// adaptiveState is the controller's retraining and ModelFree state; nil
+// when adaptation is disabled. The ladder rung itself lives on the
+// Controller.
 type adaptiveState struct {
 	cfg AdaptiveConfig
-
-	state          LadderState
-	ladder         []LadderTransition
-	lastTransition sim.Time
 
 	window  *SampleWindow
 	errs    *errRing
@@ -245,7 +280,6 @@ type adaptiveState struct {
 func newAdaptiveState(cfg AdaptiveConfig) *adaptiveState {
 	return &adaptiveState{
 		cfg:    cfg,
-		state:  LadderPredictive,
 		window: NewSampleWindow(cfg.WindowSamples),
 		errs:   newErrRing(cfg.ErrWindow),
 		aimdW:  1,
@@ -255,23 +289,23 @@ func newAdaptiveState(cfg AdaptiveConfig) *adaptiveState {
 // Adaptive reports whether the adaptive ladder is armed.
 func (c *Controller) Adaptive() bool { return c.adaptive != nil }
 
-// LadderState returns the current rung (LadderPredictive when
-// adaptation is disabled).
-func (c *Controller) LadderState() LadderState {
-	if c.adaptive == nil {
-		return LadderPredictive
-	}
-	return c.adaptive.state
-}
+// LadderState returns the current rung.
+func (c *Controller) LadderState() LadderState { return c.state }
 
-// Ladder returns the transition ledger (nil when adaptation is
-// disabled or nothing ever transitioned). The slice is shared; do not
-// mutate it.
-func (c *Controller) Ladder() []LadderTransition {
-	if c.adaptive == nil {
-		return nil
+// Ladder returns the transition ledger (nil when nothing ever
+// transitioned). The slice is shared; do not mutate it.
+func (c *Controller) Ladder() []LadderTransition { return c.ladder }
+
+// staticMoves counts the ledger's Static entries (into true) or exits
+// (into false).
+func (c *Controller) staticMoves(into bool) float64 {
+	var n float64
+	for _, lt := range c.ladder {
+		if (into && lt.To == LadderStatic) || (!into && lt.From == LadderStatic) {
+			n++
+		}
 	}
-	return c.adaptive.ladder
+	return n
 }
 
 // AdaptStats returns the retraining counters.
@@ -319,7 +353,7 @@ func (c *Controller) Observe(at sim.Time, readBps, writeBps float64) {
 		c.ladderTo(at, LadderStatic, "telemetry-stale")
 		return
 	}
-	if a.state == LadderStatic {
+	if c.state == LadderStatic {
 		// Telemetry is fresh again: count healthy intervals toward the
 		// ascent back to ModelFree. The feature window may still be
 		// sparse, so nothing is sampled from this rung.
@@ -365,7 +399,7 @@ func (c *Controller) Observe(at sim.Time, readBps, writeBps float64) {
 	// While the ring is refilling (a descent reset it) there is no
 	// verdict either way, so the healthy streak is left alone rather
 	// than zeroed — an unfilled ring must not wipe ascent progress.
-	switch a.state {
+	switch c.state {
 	case LadderPredictive:
 		if full && aggErr >= a.cfg.ErrDegrade {
 			c.ladderTo(at, LadderRetraining, "prediction-error")
@@ -402,50 +436,47 @@ func (c *Controller) Observe(at sim.Time, readBps, writeBps float64) {
 }
 
 // ladderTo moves the ladder to rung to. Descents apply immediately
-// (they are safety reactions); ascents are refused until DwellTime has
-// passed since the last transition, which bounds oscillation.
+// (they are safety reactions); with adaptation armed, ascents are
+// refused until DwellTime has passed since the last transition, which
+// bounds oscillation. Entering Static pins FallbackWeight.
 func (c *Controller) ladderTo(at sim.Time, to LadderState, reason string) {
 	a := c.adaptive
-	if a.frozen || a.state == to {
+	if c.state == to || (a != nil && a.frozen) {
 		return
 	}
-	if to < a.state && at-a.lastTransition < a.cfg.DwellTime {
+	if a != nil && to < c.state && at-c.lastTransition < a.cfg.DwellTime {
 		return // ascent inside the dwell window: hold the rung
 	}
-	from := a.state
-	a.state = to
-	a.lastTransition = at
-	a.healthy = 0
-	a.rejects = 0
-	a.pressure = 0
-	if to > from {
-		// A descent judges the lower rung on fresh evidence — and spaces
-		// consecutive descents at least a ring-fill apart. Ascents keep
-		// the ring: the model it scores did not change, and the full ring
-		// of healthy verdicts that earned this rung is exactly the
-		// evidence the next rung starts from.
-		a.errs.Reset()
+	from := c.state
+	c.state = to
+	c.lastTransition = at
+	c.ladder = append(c.ladder, LadderTransition{At: at, From: from, To: to, Reason: reason})
+	if a != nil {
+		a.healthy, a.rejects, a.pressure = 0, 0, 0
+		if to > from {
+			// A descent judges the lower rung on fresh evidence — and
+			// spaces consecutive descents at least a ring-fill apart.
+			// Ascents keep the ring: the model it scores did not change,
+			// and the full ring of healthy verdicts that earned this rung
+			// is exactly the evidence the next rung starts from.
+			a.errs.Reset()
+		}
+		if to == LadderModelFree {
+			// Seed AIMD from the weight in force so the hand-off is smooth.
+			a.aimdW = c.SSQ.WeightRatio()
+			if a.aimdW < 1 {
+				a.aimdW = 1
+			}
+			a.haveAimd = false
+		}
 	}
-	a.ladder = append(a.ladder, LadderTransition{At: at, From: from, To: to, Reason: reason})
-
-	switch to {
-	case LadderStatic:
-		c.degraded = true
+	if to == LadderStatic {
 		w := c.Cfg.FallbackWeight
 		c.SSQ.SetWeights(1, w)
-		c.Events = append(c.Events, AdjustEvent{
-			At: at, DemandedBps: c.lastDemand, WeightRatio: w, Degraded: true,
-		})
-	case LadderModelFree:
-		c.degraded = false
-		// Seed AIMD from the weight in force so the hand-off is smooth.
-		a.aimdW = c.SSQ.WeightRatio()
-		if a.aimdW < 1 {
-			a.aimdW = 1
+		c.Events = append(c.Events, AdjustEvent{At: at, DemandedBps: c.lastDemand, WeightRatio: w})
+		if o := c.obs; o != nil {
+			o.weightRatio.Set(float64(w))
 		}
-		a.haveAimd = false
-	default:
-		c.degraded = false
 	}
 	if o := c.obs; o != nil {
 		o.sc.Instant(at, "core", "ladder "+o.name+" "+from.String()+">"+to.String()+" ("+reason+")",
@@ -454,16 +485,12 @@ func (c *Controller) ladderTo(at sim.Time, to LadderState, reason string) {
 	}
 }
 
-// adaptiveRateEvent dispatches a (non-suppressed) congestion event by
-// ladder rung. Predictive and Retraining keep the paper's Alg. 1 TPM
-// path; ModelFree runs AIMD; Static holds the fallback weight.
+// adaptiveRateEvent dispatches a (non-suppressed, fresh-telemetry)
+// congestion event by ladder rung. Predictive and Retraining keep the
+// paper's Alg. 1 TPM path; ModelFree runs AIMD; Static holds the
+// fallback weight.
 func (c *Controller) adaptiveRateEvent(at sim.Time, demandedBps float64) {
-	a := c.adaptive
-	if c.telemetryStale(at) {
-		c.ladderTo(at, LadderStatic, "telemetry-stale")
-		return
-	}
-	switch a.state {
+	switch c.state {
 	case LadderStatic:
 		// The fallback weight is pinned by the transition; ascents are
 		// driven by Observe, which watches telemetry freshness.
@@ -509,9 +536,7 @@ func (c *Controller) aimdAdjust(at sim.Time, demandedBps float64) {
 		w = 1
 	}
 	c.SSQ.SetWeights(1, w)
-	c.Events = append(c.Events, AdjustEvent{
-		At: at, DemandedBps: demandedBps, WeightRatio: w, Degraded: true,
-	})
+	c.Events = append(c.Events, AdjustEvent{At: at, DemandedBps: demandedBps, WeightRatio: w})
 	if o := c.obs; o != nil {
 		o.adjustments.Inc()
 		o.weightRatio.Set(float64(w))
@@ -607,7 +632,7 @@ func (c *Controller) retrainNow(at sim.Time) {
 func (c *Controller) noteReject(at sim.Time) {
 	a := c.adaptive
 	a.rejections++
-	if a.state == LadderRetraining {
+	if c.state == LadderRetraining {
 		a.rejects++
 		if a.rejects >= a.cfg.MaxRejects {
 			c.ladderTo(at, LadderModelFree, "retrain-rejected")

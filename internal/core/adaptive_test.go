@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"srcsim/internal/nvme"
+	"srcsim/internal/obs"
 	"srcsim/internal/sim"
 	"srcsim/internal/trace"
 )
@@ -145,5 +146,54 @@ func TestObserveWithoutAdaptive(t *testing.T) {
 	r, p, j := c.AdaptStats()
 	if r != 0 || p != 0 || j != 0 {
 		t.Fatalf("non-adaptive controller reported retrain stats %d/%d/%d", r, p, j)
+	}
+}
+
+// TestLadderStaticWithoutAdaptation: a non-adaptive controller's
+// stale-telemetry fallback is the ladder's Predictive↔Static edge. A
+// stale rate event descends once and pins FallbackWeight, a second
+// stale event adds nothing, and the next fresh event ascends and applies
+// a TPM weight in the same call. The Static rung's read-through series
+// track every move.
+func TestLadderStaticWithoutAdaptation(t *testing.T) {
+	cfg := ControllerConfig{Tau: 0.01, MaxW: 64, StaleAfter: 500 * sim.Microsecond, FallbackWeight: 8}
+	ssq := nvme.NewSSQ(1, 1)
+	c := NewController(cfg, lawTPM(t), ssq)
+	reg := obs.NewRegistry()
+	c.Instrument(reg, nil, "t0")
+	series := func() (entries, exits, on float64) {
+		s := reg.Snapshot()
+		return s.Counters["core/degraded_entries"], s.Counters["core/recoveries"], s.Gauges["core/degraded"]
+	}
+
+	c.Monitor.Record(trace.Request{Op: trace.Read, Size: 30000}, 0)
+	c.OnRateEvent(sim.Millisecond, 4e9)
+	want := LadderTransition{At: sim.Millisecond, From: LadderPredictive, To: LadderStatic, Reason: "telemetry-stale"}
+	if got := c.Ladder(); len(got) != 1 || got[0] != want {
+		t.Fatalf("stale event ladder %+v, want [%+v]", got, want)
+	}
+	if len(c.Events) != 1 || c.Events[0].WeightRatio != 8 || ssq.WeightRatio() != 8 {
+		t.Fatalf("stale event applied %+v (ssq w=%g), want one event at FallbackWeight 8", c.Events, ssq.WeightRatio())
+	}
+	if e, x, on := series(); e != 1 || x != 0 || on != 1 {
+		t.Fatalf("after descent: degraded_entries %g recoveries %g degraded %g, want 1 0 1", e, x, on)
+	}
+
+	c.OnRateEvent(3*sim.Millisecond, 2e9)
+	if len(c.Ladder()) != 1 || len(c.Events) != 1 {
+		t.Fatalf("second stale event moved state: ladder %+v events %+v", c.Ladder(), c.Events)
+	}
+
+	c.Monitor.Record(trace.Request{Op: trace.Read, Size: 30000}, 4800*sim.Microsecond)
+	c.OnRateEvent(5*sim.Millisecond, 5e9)
+	if got := c.Ladder(); len(got) != 2 || got[1].To != LadderPredictive || got[1].Reason != "telemetry-fresh" {
+		t.Fatalf("fresh event ladder %+v, want a telemetry-fresh ascent to Predictive", got)
+	}
+	// lawTPM's read throughput 20e9/(1+w) meets 5e9 at w=3.
+	if len(c.Events) != 2 || c.Events[1].WeightRatio != 3 || c.Events[1].PredictedRBp <= 0 || ssq.WeightRatio() != 3 {
+		t.Fatalf("fresh event applied %+v (ssq w=%g), want a TPM decision at w=3", c.Events, ssq.WeightRatio())
+	}
+	if e, x, on := series(); e != 1 || x != 1 || on != 0 {
+		t.Fatalf("after ascent: degraded_entries %g recoveries %g degraded %g, want 1 1 0", e, x, on)
 	}
 }

@@ -34,13 +34,14 @@ type ControllerConfig struct {
 	// StaleAfter, when positive, arms the stale-telemetry watchdog: if a
 	// congestion event arrives and the monitor has seen no command for
 	// longer than StaleAfter, the controller stops trusting the TPM (its
-	// feature window describes traffic that no longer exists) and falls
-	// back to the conservative static FallbackWeight until telemetry
-	// resumes. Zero (the default) disables degradation and preserves
-	// pre-fault behaviour exactly.
+	// feature window describes traffic that no longer exists) and
+	// descends the ladder to Static, pinning FallbackWeight until
+	// telemetry resumes. Zero (the default) disables degradation and
+	// preserves pre-fault behaviour exactly.
 	StaleAfter sim.Time
-	// FallbackWeight is the static read:write weight ratio applied while
-	// degraded (default 1 — the fair round-robin baseline).
+	// FallbackWeight is the static read:write weight ratio applied on
+	// the Static rung, and by a control-plane lease agent cut off from
+	// this controller (default 1 — the fair round-robin baseline).
 	FallbackWeight int
 	// Adaptive arms online adaptation (in-run TPM retraining plus the
 	// Predictive→Retraining→ModelFree→Static degradation ladder; see
@@ -50,12 +51,17 @@ type ControllerConfig struct {
 }
 
 // Validate rejects a negative FallbackWeight, which withDefaults would
-// otherwise silently replace (zero picks the default).
+// otherwise silently replace (zero picks the default), a negative
+// StaleAfter, which would silently disarm the watchdog, and an invalid
+// Adaptive block.
 func (c ControllerConfig) Validate() error {
 	if c.FallbackWeight < 0 {
 		return fmt.Errorf("core: FallbackWeight %d is negative", c.FallbackWeight)
 	}
-	return nil
+	if c.StaleAfter < 0 {
+		return fmt.Errorf("core: StaleAfter %v is negative", c.StaleAfter)
+	}
+	return c.Adaptive.Validate()
 }
 
 // withDefaults fills unset fields.
@@ -94,9 +100,6 @@ type AdjustEvent struct {
 	DemandedBps  float64
 	WeightRatio  int
 	PredictedRBp float64 // predicted read throughput at the chosen w
-	// Degraded marks a fallback decision: the stale-telemetry watchdog
-	// applied the static FallbackWeight instead of a TPM prediction.
-	Degraded bool
 }
 
 // WeightSink is where the controller applies its decisions: a single
@@ -138,10 +141,17 @@ type Controller struct {
 	lastEventAt sim.Time
 	lastDemand  float64
 	haveEvent   bool
-	degraded    bool
 
-	// adaptive holds the degradation ladder and in-run retraining state;
-	// nil unless Cfg.Adaptive.Enabled (see adaptive.go).
+	// The degradation ladder (see adaptive.go) is the controller's only
+	// degraded-mode state: the rung in force, the transition ledger, and
+	// the time of the last move. Without adaptation only the
+	// Predictive↔Static edge is used, driven by telemetry staleness.
+	state          LadderState
+	ladder         []LadderTransition
+	lastTransition sim.Time
+
+	// adaptive holds the in-run retraining and ModelFree machinery; nil
+	// unless Cfg.Adaptive.Enabled (see adaptive.go).
 	adaptive *adaptiveState
 
 	obs *ctlObs
@@ -150,45 +160,47 @@ type Controller struct {
 // ctlObs holds the trace scope and the handles for quantities no
 // controller field holds; nil when observability is off.
 type ctlObs struct {
-	sc             *obs.Scope
-	name           string
-	rateEvents     *obs.Counter
-	suppressed     *obs.Counter
-	adjustments    *obs.Counter
-	predictions    *obs.Counter
-	weightRatio    *obs.Gauge
-	degradedEnters *obs.Counter
-	recoveries     *obs.Counter
-	// degraded tracks the stale-telemetry fallback only; the adaptive
-	// ladder's Static rung also sets the degraded field.
-	degraded *obs.Gauge
+	sc          *obs.Scope
+	name        string
+	rateEvents  *obs.Counter
+	suppressed  *obs.Counter
+	adjustments *obs.Counter
+	predictions *obs.Counter
+	weightRatio *obs.Gauge
 }
 
 // Instrument attaches a metrics registry and/or trace scope to the
 // controller (either may be nil). name distinguishes controllers when a
-// cluster runs several targets; it prefixes trace track names. With the
-// ladder armed, its transition count, rung and retrain counters register
-// as read-through series (they are absent otherwise, keeping
-// non-adaptive snapshots unchanged).
+// cluster runs several targets; it prefixes trace track names. The
+// Static rung registers as read-through series on every controller:
+// degraded_entries and recoveries count its entries and exits, degraded
+// reads 1 while it is in force. With adaptation armed, the transition
+// count, rung and retrain counters register too (they are absent
+// otherwise, keeping non-adaptive snapshots unchanged).
 func (c *Controller) Instrument(reg *obs.Registry, sc *obs.Scope, name string, labels ...obs.Label) {
 	if reg == nil && !sc.Enabled() {
 		return
 	}
 	c.obs = &ctlObs{
-		sc:             sc,
-		name:           name,
-		rateEvents:     reg.Counter("core", "rate_events", labels...),
-		suppressed:     reg.Counter("core", "rate_events_suppressed", labels...),
-		adjustments:    reg.Counter("core", "adjustments", labels...),
-		predictions:    reg.Counter("core", "tpm_predictions", labels...),
-		weightRatio:    reg.Gauge("core", "weight_ratio_last", labels...),
-		degradedEnters: reg.Counter("core", "degraded_entries", labels...),
-		recoveries:     reg.Counter("core", "recoveries", labels...),
-		degraded:       reg.Gauge("core", "degraded", labels...),
+		sc:          sc,
+		name:        name,
+		rateEvents:  reg.Counter("core", "rate_events", labels...),
+		suppressed:  reg.Counter("core", "rate_events_suppressed", labels...),
+		adjustments: reg.Counter("core", "adjustments", labels...),
+		predictions: reg.Counter("core", "tpm_predictions", labels...),
+		weightRatio: reg.Gauge("core", "weight_ratio_last", labels...),
 	}
+	reg.CounterFunc("core", "degraded_entries", func() float64 { return c.staticMoves(true) }, labels...)
+	reg.CounterFunc("core", "recoveries", func() float64 { return c.staticMoves(false) }, labels...)
+	reg.GaugeFunc("core", "degraded", obs.Last, func() float64 {
+		if c.state == LadderStatic {
+			return 1
+		}
+		return 0
+	}, labels...)
 	if a := c.adaptive; a != nil {
-		reg.CounterFunc("core", "ladder_transitions", func() float64 { return float64(len(a.ladder)) }, labels...)
-		reg.GaugeFunc("core", "ladder_state", obs.Last, func() float64 { return float64(a.state) }, labels...)
+		reg.CounterFunc("core", "ladder_transitions", func() float64 { return float64(len(c.ladder)) }, labels...)
+		reg.GaugeFunc("core", "ladder_state", obs.Last, func() float64 { return float64(c.state) }, labels...)
 		reg.CounterFunc("core", "retrains", obs.U64(&a.retrains), labels...)
 		reg.CounterFunc("core", "retrain_promotions", obs.U64(&a.promotions), labels...)
 		reg.CounterFunc("core", "retrain_rejections", obs.U64(&a.rejections), labels...)
@@ -279,31 +291,27 @@ func (c *Controller) OnRateEvent(at sim.Time, demandedBps float64) {
 	c.lastDemand = demandedBps
 	c.haveEvent = true
 
+	if c.telemetryStale(at) {
+		// Telemetry stalled: the monitor window describes traffic that no
+		// longer exists, so a TPM prediction would steer on stale
+		// features. The Static rung pins the fallback weight until
+		// commands flow again.
+		c.ladderTo(at, LadderStatic, "telemetry-stale")
+		return
+	}
 	if c.adaptive != nil {
 		c.adaptiveRateEvent(at, demandedBps)
 		return
 	}
-
-	if c.Cfg.StaleAfter > 0 {
-		if last, ok := c.Monitor.LastRecordAt(); !ok || at-last > c.Cfg.StaleAfter {
-			// Telemetry stalled: the monitor window describes traffic
-			// that no longer exists, so a TPM prediction would steer on
-			// stale features. Fall back to the conservative static
-			// weight until commands flow again.
-			c.degrade(at, demandedBps)
-			return
-		}
-		if c.degraded {
-			c.recoverTelemetry(at)
-		}
+	if c.state == LadderStatic {
+		c.ladderTo(at, LadderPredictive, "telemetry-fresh")
 	}
-
 	c.tpmAdjust(at, demandedBps)
 }
 
 // tpmAdjust is the TPM-driven adjustment body (Alg. 1): profile the
-// preceding window, pick w, apply it. Shared by the legacy path and the
-// adaptive ladder's Predictive/Retraining rungs.
+// preceding window, pick w, apply it. Serves the Predictive and
+// Retraining rungs.
 func (c *Controller) tpmAdjust(at sim.Time, demandedBps float64) {
 	ch := c.Monitor.Snapshot(at)
 	w := c.PredictWeightRatio(demandedBps, ch)
@@ -323,42 +331,6 @@ func (c *Controller) tpmAdjust(at sim.Time, demandedBps float64) {
 		o.sc.Counter(at, "core", "weight_ratio "+o.name, float64(w))
 	}
 }
-
-// degrade enters (or stays in) the stale-telemetry fallback: apply the
-// static FallbackWeight and log the transition.
-func (c *Controller) degrade(at sim.Time, demandedBps float64) {
-	if c.degraded {
-		return
-	}
-	c.degraded = true
-	w := c.Cfg.FallbackWeight
-	c.SSQ.SetWeights(1, w)
-	c.Events = append(c.Events, AdjustEvent{
-		At: at, DemandedBps: demandedBps, WeightRatio: w, Degraded: true,
-	})
-	if o := c.obs; o != nil {
-		o.degradedEnters.Inc()
-		o.degraded.Set(1)
-		o.weightRatio.Set(float64(w))
-		o.sc.Instant(at, "core", "degraded "+o.name,
-			obs.Num("w", float64(w)),
-			obs.Num("demanded_gbps", demandedBps/1e9))
-	}
-}
-
-// recoverTelemetry leaves the fallback once monitor data is fresh again;
-// the caller proceeds to a normal TPM-driven adjustment.
-func (c *Controller) recoverTelemetry(at sim.Time) {
-	c.degraded = false
-	if o := c.obs; o != nil {
-		o.recoveries.Inc()
-		o.degraded.Set(0)
-		o.sc.Instant(at, "core", "recovered "+o.name)
-	}
-}
-
-// Degraded reports whether the stale-telemetry fallback is active.
-func (c *Controller) Degraded() bool { return c.degraded }
 
 // CurrentWeightRatio returns the SSQ's active w.
 func (c *Controller) CurrentWeightRatio() float64 { return c.SSQ.WeightRatio() }

@@ -11,8 +11,8 @@ const (
 	// leaseHeld: the lease expired; the agent holds its last-known-good
 	// weight for the grace window.
 	leaseHeld
-	// leaseFallback: the grace window also passed; the static fallback
-	// weight is applied until the controller is heard from again.
+	// leaseFallback: the grace window also passed; the controller's
+	// static FallbackWeight is applied until it is heard from again.
 	leaseFallback
 )
 
@@ -25,6 +25,7 @@ type agent struct {
 	sink interface {
 		SetWeights(read, write int)
 	}
+	fallback int // the controller's FallbackWeight
 
 	epoch   uint64 // highest epoch adopted
 	lastSeq uint64 // highest seq applied within epoch
@@ -110,7 +111,7 @@ func (a *agent) checkLease() {
 	case leaseHeld:
 		if age > a.p.Cfg.LeaseTimeout+a.p.Cfg.GraceWindow {
 			a.state = leaseFallback
-			a.sink.SetWeights(1, a.p.Cfg.FallbackWeight)
+			a.sink.SetWeights(1, a.fallback)
 			a.p.led.Fallbacks++
 		}
 	}

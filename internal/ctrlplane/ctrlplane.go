@@ -14,8 +14,12 @@
 // directives are rejected; they are acknowledged and retransmitted with
 // deterministic exponential backoff up to a capped retry budget.
 // Heartbeats maintain a lease at every agent: on lease expiry the agent
-// holds its last-known-good weight for a grace window and then falls
-// back to the static fallback weight. A controller crash triggers
+// holds its last-known-good weight for a grace window and then applies
+// the controller's FallbackWeight (core.ControllerConfig), the weight
+// the controller's own Static rung pins. The lease timer stays on the
+// agent because it is the one degraded-mode decision that must be taken
+// on the target side of a dead channel, where no controller can reach.
+// A controller crash triggers
 // failover to the standby, which re-seeds its monitor window (fresh
 // controllers) and bumps the epoch, fencing directives and acks from
 // the dead primary.
@@ -26,8 +30,6 @@
 package ctrlplane
 
 import (
-	"fmt"
-
 	"srcsim/internal/core"
 	"srcsim/internal/sim"
 	"srcsim/internal/trace"
@@ -74,11 +76,10 @@ type Config struct {
 	// a heartbeat or directive (default 4x HeartbeatEvery). After lease
 	// expiry the agent holds its last-known-good weight for GraceWindow
 	// (default 2x LeaseTimeout) and then applies the static
-	// FallbackWeight (default 1).
+	// FallbackWeight of the controller Register built.
 	HeartbeatEvery sim.Time `json:"heartbeat_every_ns,omitempty"`
 	LeaseTimeout   sim.Time `json:"lease_timeout_ns,omitempty"`
 	GraceWindow    sim.Time `json:"grace_window_ns,omitempty"`
-	FallbackWeight int      `json:"fallback_weight,omitempty"`
 
 	// Standby arms a warm standby controller that watches the primary's
 	// heartbeats and takes over — bumping the epoch and re-seeding its
@@ -86,15 +87,6 @@ type Config struct {
 	// (default 2x LeaseTimeout).
 	Standby       bool     `json:"standby,omitempty"`
 	FailoverAfter sim.Time `json:"failover_after_ns,omitempty"`
-}
-
-// Validate rejects a negative FallbackWeight, which withDefaults would
-// otherwise silently replace (zero picks the default).
-func (c Config) Validate() error {
-	if c.FallbackWeight < 0 {
-		return fmt.Errorf("ctrlplane: FallbackWeight %d is negative", c.FallbackWeight)
-	}
-	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -134,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GraceWindow <= 0 {
 		c.GraceWindow = 2 * c.LeaseTimeout
-	}
-	if c.FallbackWeight <= 0 {
-		c.FallbackWeight = 1
 	}
 	if c.FailoverAfter <= 0 {
 		c.FailoverAfter = 2 * c.LeaseTimeout
@@ -261,15 +250,16 @@ func (p *Plane) Targets() int { return len(p.agents) }
 // weight sink (the SSQ group the agent applies directives to), and mk
 // builds one controller instance around the plane-provided directive
 // sink — called once now for the primary and again on every failover or
-// restart, so each incarnation re-seeds its monitor window. Returns the
+// restart, so each incarnation re-seeds its monitor window. The agent's
+// lease fallback applies the primary's Cfg.FallbackWeight. Returns the
 // primary's controller.
 func (p *Plane) Register(t int, real core.WeightSink, mk func(sink core.WeightSink) *core.Controller) *core.Controller {
 	ds := &dirSink{p: p, t: t, lastR: 1, lastW: 1}
 	p.sinks[t] = ds
-	p.agents[t] = &agent{p: p, t: t, sink: real}
 	p.pubs[t] = &publisher{p: p, t: t}
 	p.mk[t] = func() *core.Controller { return mk(ds) }
 	ctl := p.mk[t]()
+	p.agents[t] = &agent{p: p, t: t, sink: real, fallback: ctl.Cfg.FallbackWeight}
 	p.active[t] = ctl
 	p.history[t] = append(p.history[t], ctl)
 	return ctl

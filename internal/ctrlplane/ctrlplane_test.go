@@ -152,7 +152,6 @@ func TestLeaseLifecycle(t *testing.T) {
 		HeartbeatEvery: 100 * sim.Microsecond,
 		LeaseTimeout:   300 * sim.Microsecond,
 		GraceWindow:    300 * sim.Microsecond,
-		FallbackWeight: 1,
 	}
 	eng, p, sinks := testPlane(t, cfg, 1)
 	stop := p.Start()

@@ -112,8 +112,10 @@ type Recovery struct {
 	MaxRetries  int      `json:"max_retries,omitempty"`
 	BackoffBase sim.Time `json:"backoff_base_ns,omitempty"`
 	BackoffCap  sim.Time `json:"backoff_cap_ns,omitempty"`
-	// StaleAfter/FallbackWeight arm SRC's stale-telemetry fallback
-	// (core.ControllerConfig).
+	// StaleAfter arms SRC's stale-telemetry watchdog; FallbackWeight is
+	// the weight its Static rung and the control-plane lease agents fall
+	// back to (core.ControllerConfig). Each fills its Spec setting on
+	// its own.
 	StaleAfter     sim.Time `json:"stale_after_ns,omitempty"`
 	FallbackWeight int      `json:"fallback_weight,omitempty"`
 }

@@ -48,11 +48,6 @@ func CtrlConfig(d sim.Time) ctrlplane.Config {
 		GraceWindow:    8 * q,
 		FailoverAfter:  6 * q,
 		ReorderProb:    0.02,
-		// The conservative write-protecting fallback the chaos-recovery
-		// config uses: an agent cut off from its controller pins a static
-		// read cut, so a dead control channel costs real read/aggregate
-		// throughput instead of silently coasting at the neutral 1:1.
-		FallbackWeight: 8,
 	}
 }
 
@@ -65,6 +60,12 @@ func ctrlSpec(d sim.Time) cluster.Spec {
 	spec.Mode = cluster.DCQCNSRC
 	spec.Ctrl = CtrlConfig(d)
 	spec.SRC.MinEventGap = adaptQuantum(d)
+	// The conservative write-protecting fallback the chaos-recovery
+	// config uses: an agent cut off from its controller pins a static
+	// read cut, so a dead control channel costs real read/aggregate
+	// throughput instead of silently coasting at the neutral 1:1.
+	// StaleAfter stays 0, so only the lease agents apply it.
+	spec.SRC.FallbackWeight = 8
 	spec.Horizon = 3*d + 200*sim.Millisecond
 	return spec
 }
