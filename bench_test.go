@@ -37,11 +37,11 @@ func benchTPMs(b *testing.B) (*core.TPM, *core.TPM) {
 		// suite's models), so repeated benchmark runs skip re-training;
 		// SRCSIM_TPM_CACHE=off forces a cold run.
 		c := devrun.TPMCacheFromEnv()
-		if tpmCong, _, tpmErr = harness.TrainCongestionTPMCached(c, 1000, 42); tpmErr != nil {
+		if tpmCong, _, tpmErr = harness.TPMCongestion.Train(c, 1000, 42); tpmErr != nil {
 			tpmErr = fmt.Errorf("training shared congestion TPM: %w", tpmErr)
 			return
 		}
-		if tpmFig9, _, tpmErr = devrun.TrainTPMCached(c, harness.Fig9Config(), 1000, 43); tpmErr != nil {
+		if tpmFig9, _, tpmErr = harness.TPMFig9.Train(c, 1000, 43); tpmErr != nil {
 			tpmErr = fmt.Errorf("training shared Fig. 9 TPM: %w", tpmErr)
 		}
 	})

@@ -14,13 +14,18 @@
 //	srcsim -experiment fig2
 //	srcsim -list-scenarios          (enumerate the composed scenario library)
 //	srcsim -scenario vdi-boot-storm (run a library scenario under both modes)
-//	srcsim -replay my.csv           (replay a tracegen CSV under both modes)
+//	srcsim -replay my.csv           (replay a tracegen CSV under both modes;
+//	                                 shorthand for -experiment replay)
 //	srcsim -replay t.jsonl -format jsonl   (replay an open-format JSONL trace)
+//	srcsim -experiment table1       (Table I; also table3, tpm-importance)
+//	srcsim -json ...                (print the experiment's data as JSON)
 //
 // Experiments that need a trained throughput-prediction model train one
 // lazily (or load -tpm); training results are reused across runs through
 // the content-addressed artifact cache (SRCSIM_TPM_CACHE=off disables,
 // SRCSIM_TPM_CACHE=<dir> relocates; default is <tmp>/srcsim-cache).
+// -save-tpm tpm.bin writes the model the selected experiment uses and
+// exits; a later -tpm tpm.bin run loads it instead of training.
 //
 // Observability (any experiment or replay):
 //
@@ -69,9 +74,11 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -104,88 +111,173 @@ const (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("srcsim: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// fail classifies err into an exit code, printing it (and, for a
+// fail classifies err into an exit code, logging it (and, for a
 // liveness stall, the diagnostic dump) to stderr.
-func fail(err error) int {
+func fail(lg *log.Logger, err error) int {
+	lg.Print(err)
 	var se *guard.StallError
 	if errors.As(err, &se) {
-		log.Print(err)
 		if se.Dump != nil {
-			fmt.Fprintln(os.Stderr, "guard dump:")
-			se.Dump.WriteTo(os.Stderr)
+			fmt.Fprintln(lg.Writer(), "guard dump:")
+			se.Dump.WriteTo(lg.Writer())
 		}
 		return exitGuard
 	}
 	var ve *guard.ViolationError
 	if errors.As(err, &ve) {
-		log.Print(err)
 		return exitGuard
 	}
-	log.Print(err)
 	return exitError
 }
 
-func run() int {
-	experiment := flag.String("experiment", "fig7", "registered experiment to run (see -list)")
-	list := flag.Bool("list", false, "list registered experiments with their parameters and exit")
-	listCC := flag.Bool("list-cc", false, "list registered congestion-control schemes and exit")
-	listScenarios := flag.Bool("list-scenarios", false, "list the built-in composed scenario library and exit")
-	scenarioName := flag.String("scenario", "", "run a library scenario by name, or a scenario spec by .json path (shorthand for -experiment scenario; see -list-scenarios)")
-	// requests/seconds/seed/cc reach experiments through the override
-	// overlay below (flag.Visit), not through direct reads.
-	flag.Int("requests", 2000, "write-request count for fig7/chaos-soak (reads get 2x)")
-	flag.Float64("seconds", 0.06, "trace length in seconds for fig10/table4")
-	seed := flag.Uint64("seed", 7, "workload seed")
-	trainCount := flag.Int("train", 1500, "per-direction request count for TPM training runs")
-	replayFile := flag.String("replay", "", "replay a trace CSV (from cmd/tracegen) on the Sec. IV-D testbed instead of a named experiment")
-	cc := flag.String("cc", "dcqcn", "congestion control: "+strings.Join(netsim.CCNames(), " | ")+" (see -list-cc)")
-	format := flag.String("format", "csv", "trace file format for -replay: csv (tracegen) | msr (MSR Cambridge / SNIA) | jsonl (open trace format)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON for -replay runs")
-	tpmPath := flag.String("tpm", "", "load a pre-trained TPM (from tpmtrain -save) instead of training")
-	faultsFile := flag.String("faults", "", "load a fault-injection schedule (JSON, see internal/faults) and replay it into every cluster run")
-	adapt := flag.Bool("adapt", false, "arm adaptive SRC (in-run TPM retraining + degradation ladder, default tuning) on every cluster run; the adapt-* experiments tune it themselves")
-	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
-	recordOut := flag.String("record", "", "write the flight-recorder congestion timeline to this file (.csv long format, .jsonl columnar, anything else Chrome-trace counter JSON)")
-	recordInterval := flag.Duration("record-interval", 100*time.Microsecond, "flight-recorder sample period in sim time")
-	recordCap := flag.Int("record-cap", timeseries.DefaultCapacity, "flight-recorder ring capacity (max samples kept per series)")
-	serveAddr := flag.String("serve", "", "serve the live inspector (/metrics Prometheus text, /series JSON, /progress) on this address during the run, e.g. :8080")
-	serveGrace := flag.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the run finishes before exiting")
-	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr every interval of sim time (e.g. 100ms; 0 disables)")
-	audit := flag.Bool("audit", true, "run the conservation auditor on every cluster run (read-only; a violation fails the run)")
-	stallHorizon := flag.Duration("stall-horizon", 0, "arm the liveness watchdog: fail with a diagnostic dump if the oldest in-flight command exceeds this sim-time age with no progress (0 disables)")
-	maxWall := flag.Duration("max-wall", 0, "truncate the run gracefully after this much wall-clock time (0 = unlimited); partial results are still written")
-	flag.Parse()
+// run is the whole command: it parses args, writes results to stdout
+// and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	lg := log.New(stderr, "srcsim: ", 0)
+	fs := flag.NewFlagSet("srcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "fig7", "registered experiment to run (see -list)")
+	list := fs.Bool("list", false, "list registered experiments with their parameters and exit")
+	listCC := fs.Bool("list-cc", false, "list registered congestion-control schemes and exit")
+	listScenarios := fs.Bool("list-scenarios", false, "list the built-in composed scenario library and exit")
+	scenarioName := fs.String("scenario", "", "run a library scenario by name, or a scenario spec by .json path (shorthand for -experiment scenario; see -list-scenarios)")
+	replayFile := fs.String("replay", "", "replay a trace file on the Sec. IV-D testbed under both modes (shorthand for -experiment replay)")
+	// requests/seconds/seed/cc/format reach experiments through the
+	// override overlay below (fs.Visit), not through direct reads.
+	fs.Int("requests", 2000, "write-request count for fig7/chaos-soak (reads get 2x)")
+	fs.Float64("seconds", 0.06, "trace length in seconds for fig10/table4")
+	seed := fs.Uint64("seed", 7, "workload seed")
+	fs.String("cc", "dcqcn", "congestion control: "+strings.Join(netsim.CCNames(), " | ")+" (see -list-cc)")
+	fs.String("format", "csv", "trace file format for -replay: "+strings.Join(trace.Formats, " | "))
+	trainCount := fs.Int("train", 1500, "per-direction request count for TPM training runs")
+	tpmPath := fs.String("tpm", "", "load a pre-trained TPM (from -save-tpm) instead of training")
+	saveTPM := fs.String("save-tpm", "", "write the TPM the selected experiment uses (trained, or loaded with -tpm) to this file and exit without running it")
+	jsonOut := fs.Bool("json", false, "print the experiment's machine-readable data as indented JSON instead of its text")
+	faultsFile := fs.String("faults", "", "load a fault-injection schedule (JSON, see internal/faults) and replay it into every cluster run")
+	adapt := fs.Bool("adapt", false, "arm adaptive SRC (in-run TPM retraining + degradation ladder, default tuning) on every cluster run; the adapt-* experiments tune it themselves")
+	metricsOut := fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
+	recordOut := fs.String("record", "", "write the flight-recorder congestion timeline to this file (.csv long format, .jsonl columnar, anything else Chrome-trace counter JSON)")
+	recordInterval := fs.Duration("record-interval", 100*time.Microsecond, "flight-recorder sample period in sim time")
+	recordCap := fs.Int("record-cap", timeseries.DefaultCapacity, "flight-recorder ring capacity (max samples kept per series)")
+	serveAddr := fs.String("serve", "", "serve the live inspector (/metrics Prometheus text, /series JSON, /progress) on this address during the run, e.g. :8080")
+	serveGrace := fs.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the run finishes before exiting")
+	progressEvery := fs.Duration("progress", 0, "print a progress line to stderr every interval of sim time (e.g. 100ms; 0 disables)")
+	audit := fs.Bool("audit", true, "run the conservation auditor on every cluster run (read-only; a violation fails the run)")
+	stallHorizon := fs.Duration("stall-horizon", 0, "arm the liveness watchdog: fail with a diagnostic dump if the oldest in-flight command exceeds this sim-time age with no progress (0 disables)")
+	maxWall := fs.Duration("max-wall", 0, "truncate the run gracefully after this much wall-clock time (0 = unlimited); partial results are still written")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitOK
+		}
+		return exitError
+	}
 
 	if *list {
-		harness.FprintExperiments(os.Stdout)
+		harness.FprintExperiments(stdout)
 		return exitOK
 	}
 	if *listCC {
-		netsim.FprintCCSchemes(os.Stdout)
+		netsim.FprintCCSchemes(stdout)
 		return exitOK
 	}
 	if *listScenarios {
 		for _, sc := range scenario.Library() {
-			fmt.Printf("%-22s %s\n", sc.Name, sc.Title)
+			fmt.Fprintf(stdout, "%-22s %s\n", sc.Name, sc.Title)
 		}
 		return exitOK
 	}
+
+	// -scenario and -replay are shorthands: they select an experiment
+	// and set its file/name parameter. Explicitly set flags then overlay
+	// the experiment's declared defaults; flags the experiment does not
+	// declare are ignored, so e.g. -cc only affects experiments with a
+	// cc parameter.
+	overrides := map[string]string{}
 	if *scenarioName != "" {
 		*experiment = "scenario"
+		// A path selects a custom spec file; a bare word a library entry.
+		if strings.ContainsRune(*scenarioName, '/') || strings.HasSuffix(*scenarioName, ".json") {
+			overrides["file"] = *scenarioName
+		} else {
+			overrides["name"] = *scenarioName
+		}
 	}
-
-	// Fail on a bad -experiment now, before minutes of TPM training.
+	if *replayFile != "" {
+		*experiment = "replay"
+		overrides["file"] = *replayFile
+	}
+	// Fail on a bad -experiment or parameter now, before minutes of TPM
+	// training.
 	exp, ok := harness.LookupExperiment(*experiment)
-	if !ok && *replayFile == "" {
-		log.Printf("unknown experiment %q (registered: %s; run srcsim -list)",
+	if !ok {
+		lg.Printf("unknown experiment %q (registered: %s; run srcsim -list)",
 			*experiment, strings.Join(harness.ExperimentNames(), ", "))
 		return exitError
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "requests", "seconds", "seed", "cc", "format":
+			if _, ok := exp.Param(f.Name); ok {
+				overrides[f.Name] = f.Value.String()
+			}
+		}
+	})
+	params, err := exp.Resolve(overrides)
+	if err != nil {
+		lg.Print(err)
+		return exitError
+	}
+
+	// getTPM resolves the model an experiment declares, lazily: -tpm
+	// loads a pre-trained file; otherwise training runs behind the
+	// content-addressed artifact cache, so repeated invocations with the
+	// same training inputs reuse the stored model.
+	getTPM := func(kind harness.TPMKind) (*core.TPM, error) {
+		if *tpmPath != "" {
+			f, err := os.Open(*tpmPath)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			tpm, err := core.LoadTPM(f)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(stderr, "loaded TPM from %s\n", *tpmPath)
+			return tpm, nil
+		}
+		fmt.Fprintf(stderr, "training %v TPM...\n", kind)
+		start := time.Now()
+		tpm, hit, err := kind.Train(devrun.TPMCacheFromEnv(), *trainCount, *seed^0xbeef)
+		if err != nil {
+			return nil, err
+		}
+		if hit {
+			fmt.Fprintf(stderr, "reused cached TPM (%s=off forces retraining)\n", devrun.TPMCacheEnv)
+		} else {
+			fmt.Fprintf(stderr, "trained in %v\n", time.Since(start))
+		}
+		return tpm, nil
+	}
+
+	if *saveTPM != "" {
+		if exp.TPM == harness.TPMNone {
+			lg.Printf("-save-tpm: experiment %s uses no shared TPM", exp.Name)
+			return exitError
+		}
+		tpm, err := getTPM(exp.TPM)
+		if err != nil {
+			return fail(lg, err)
+		}
+		if err := atomicio.WriteFile(*saveTPM, tpm.Save); err != nil {
+			return fail(lg, err)
+		}
+		fmt.Fprintf(stderr, "saved %v TPM to %s\n", exp.TPM, *saveTPM)
+		return exitOK
 	}
 
 	// Graceful cancellation: SIGINT/SIGTERM and -max-wall share one
@@ -195,11 +287,16 @@ func run() int {
 	stopper := guard.NewStopper()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		s := <-sigc
-		signal.Stop(sigc)
-		fmt.Fprintf(os.Stderr, "srcsim: %v: truncating run (again to kill)\n", s)
-		stopper.Stop(fmt.Sprintf("signal: %v", s))
+		defer signal.Stop(sigc)
+		select {
+		case s := <-sigc:
+			fmt.Fprintf(stderr, "srcsim: %v: truncating run (again to kill)\n", s)
+			stopper.Stop(fmt.Sprintf("signal: %v", s))
+		case <-done:
+		}
 	}()
 	if *maxWall > 0 {
 		timer := time.AfterFunc(*maxWall, func() {
@@ -210,12 +307,11 @@ func run() int {
 
 	var faultSched *faults.Schedule
 	if *faultsFile != "" {
-		var err error
 		faultSched, err = faults.LoadFile(*faultsFile)
 		if err != nil {
-			return fail(err)
+			return fail(lg, err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded %d fault events from %s\n", len(faultSched.Events), *faultsFile)
+		fmt.Fprintf(stderr, "loaded %d fault events from %s\n", len(faultSched.Events), *faultsFile)
 	}
 
 	// Shared observability sinks, attached to every cluster run via the
@@ -237,10 +333,10 @@ func run() int {
 		board = live.NewBoard()
 		srv, err := live.Serve(*serveAddr, board)
 		if err != nil {
-			return fail(err)
+			return fail(lg, err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live inspector on http://%s (/metrics, /series, /progress)\n", srv.Addr())
+		fmt.Fprintf(stderr, "live inspector on http://%s (/metrics, /series, /progress)\n", srv.Addr())
 		if *serveGrace > 0 {
 			// Hold the inspector up after the run so scrapers racing a
 			// short run still see the final state.
@@ -264,7 +360,7 @@ func run() int {
 			s.SRC.Adaptive.Enabled = true
 		}
 		if *progressEvery > 0 {
-			s.Progress = os.Stderr
+			s.Progress = stderr
 			s.ProgressEvery = sim.Time(*progressEvery)
 		}
 		s.Guard.Audit = *audit
@@ -277,7 +373,7 @@ func run() int {
 				return err
 			}
 			snap := reg.Snapshot()
-			fmt.Fprintf(os.Stderr, "wrote %d metric series to %s\n", snap.NumSeries(), *metricsOut)
+			fmt.Fprintf(stderr, "wrote %d metric series to %s\n", snap.NumSeries(), *metricsOut)
 		}
 		if tracer != nil {
 			if recorder != nil {
@@ -288,7 +384,7 @@ func run() int {
 			if err := atomicio.WriteFile(*traceOut, tracer.WriteChromeTrace); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %d trace events (%d dropped) to %s\n",
+			fmt.Fprintf(stderr, "wrote %d trace events (%d dropped) to %s\n",
 				tracer.Len(), tracer.Dropped(), *traceOut)
 		}
 		if recorder != nil && *recordOut != "" {
@@ -302,145 +398,32 @@ func run() int {
 			if err := atomicio.WriteFile(*recordOut, write); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "wrote flight-recorder timeline (%d series) to %s\n",
+			fmt.Fprintf(stderr, "wrote flight-recorder timeline (%d series) to %s\n",
 				len(recorder.Dump(1)), *recordOut)
 		}
 		return nil
 	}
-	// epilogue flushes artifacts and converts a stopper firing into the
-	// truncated exit code.
-	epilogue := func() int {
-		if err := writeObs(); err != nil {
-			return fail(err)
-		}
-		if stopper.Stopped() {
-			log.Printf("run truncated: %s", stopper.Reason())
-			return exitTruncated
-		}
-		return exitOK
-	}
 
-	// getTPM resolves the model an experiment declares, lazily: -tpm
-	// loads a pre-trained file; otherwise training runs behind the
-	// content-addressed artifact cache, so repeated invocations with the
-	// same training inputs reuse the stored model.
-	getTPM := func(kind harness.TPMKind) (*core.TPM, error) {
-		if *tpmPath != "" {
-			f, err := os.Open(*tpmPath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			tpm, err := core.LoadTPM(f)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "loaded TPM from %s\n", *tpmPath)
-			return tpm, nil
-		}
-		cacheDir := devrun.TPMCacheFromEnv()
-		start := time.Now()
-		var tpm *core.TPM
-		var hit bool
-		var err error
-		switch kind {
-		case harness.TPMFig9:
-			fmt.Fprintf(os.Stderr, "training TPM (Fig. 9 SSD-B array)...\n")
-			tpm, hit, err = devrun.TrainTPMCached(cacheDir, harness.Fig9Config(), *trainCount, *seed^0xbeef)
-		default:
-			fmt.Fprintf(os.Stderr, "training TPM (SSD-A target array)...\n")
-			tpm, hit, err = harness.TrainCongestionTPMCached(cacheDir, *trainCount, *seed^0xbeef)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			fmt.Fprintf(os.Stderr, "reused cached TPM (%s=off forces retraining)\n", devrun.TPMCacheEnv)
-		} else {
-			fmt.Fprintf(os.Stderr, "trained in %v\n", time.Since(start))
-		}
-		return tpm, nil
-	}
 	env := &harness.Env{TPM: getTPM, Mods: []func(*cluster.Spec){withObs}}
-
-	if *replayFile != "" {
-		ccAlg, err := harness.ParseCC(*cc)
-		if err != nil {
-			log.Print(err)
-			return exitError
-		}
-		f, err := os.Open(*replayFile)
-		if err != nil {
-			return fail(err)
-		}
-		var tr *trace.Trace
-		switch *format {
-		case "csv":
-			tr, err = trace.ReadCSV(f)
-		case "msr":
-			tr, err = trace.ReadMSR(f)
-		case "jsonl":
-			tr, err = trace.ReadJSONL(f)
-		default:
-			f.Close()
-			log.Printf("unknown trace format %q", *format)
-			return exitError
-		}
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		tpm, err := getTPM(harness.TPMCongestion)
-		if err != nil {
-			return fail(err)
-		}
-		spec := harness.CongestionSpec()
-		spec.Net.CC = ccAlg
-		base, src, err := cluster.CompareModes(spec, tpm, tr, nil, withObs)
-		if err != nil {
-			return fail(err)
-		}
-		if *jsonOut {
-			for _, r := range []*cluster.Result{base, src} {
-				if err := r.WriteJSON(os.Stdout); err != nil {
-					return fail(err)
-				}
-			}
-		} else {
-			harness.FprintReplay(os.Stdout, base, src)
-		}
-		return epilogue()
-	}
-
-	// Overlay explicitly set flags onto the experiment's declared
-	// defaults; flags the experiment does not declare are ignored, so
-	// e.g. -cc only affects experiments with a cc parameter.
-	overrides := map[string]string{}
-	if *scenarioName != "" {
-		// A path selects a custom spec file; a bare word a library entry.
-		if strings.ContainsRune(*scenarioName, '/') || strings.HasSuffix(*scenarioName, ".json") {
-			overrides["file"] = *scenarioName
-		} else {
-			overrides["name"] = *scenarioName
-		}
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "requests", "seconds", "seed", "cc":
-			if _, ok := exp.Param(f.Name); ok {
-				overrides[f.Name] = f.Value.String()
-			}
-		}
-	})
-	params, err := exp.Resolve(overrides)
-	if err != nil {
-		log.Print(err)
-		return exitError
-	}
 	out, err := exp.Run(env, params)
 	if err != nil {
-		return fail(err)
+		return fail(lg, err)
 	}
-	os.Stdout.WriteString(out.Text)
-	return epilogue()
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out.Data); err != nil {
+			return fail(lg, err)
+		}
+	} else {
+		io.WriteString(stdout, out.Text)
+	}
+	if err := writeObs(); err != nil {
+		return fail(lg, err)
+	}
+	if stopper.Stopped() {
+		lg.Printf("run truncated: %s", stopper.Reason())
+		return exitTruncated
+	}
+	return exitOK
 }

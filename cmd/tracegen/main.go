@@ -18,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"time"
@@ -46,22 +45,7 @@ func main() {
 	flag.Parse()
 
 	if *inspect != "" {
-		f, err := os.Open(*inspect)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		var tr *trace.Trace
-		switch *format {
-		case "csv":
-			tr, err = trace.ReadCSV(f)
-		case "msr":
-			tr, err = trace.ReadMSR(f)
-		case "jsonl":
-			tr, err = trace.ReadJSONL(f)
-		default:
-			log.Fatalf("unknown format %q", *format)
-		}
+		tr, err := trace.ReadFile(*inspect, *format)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +62,7 @@ func main() {
 		return
 	}
 
-	write, err := encoderFor(*format)
+	write, err := trace.Encoder(*format)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,18 +90,6 @@ func main() {
 	}
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "wrote %d requests (%s) to %s\n", tr.Len(), tr.Duration(), *out)
-	}
-}
-
-// encoderFor maps a -format value to its trace writer.
-func encoderFor(format string) (func(io.Writer, *trace.Trace) error, error) {
-	switch format {
-	case "csv":
-		return trace.WriteCSV, nil
-	case "jsonl":
-		return trace.WriteJSONL, nil
-	default:
-		return nil, fmt.Errorf("unknown output format %q (want csv or jsonl)", format)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // -format jsonl must decode back through the strict reader to the
 // exact same request stream.
 func TestGenerateJSONLRoundTrip(t *testing.T) {
-	write, err := encoderFor("jsonl")
+	write, err := trace.Encoder("jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestGenerateJSONLRoundTrip(t *testing.T) {
 }
 
 func TestGenerateJSONLDeterministic(t *testing.T) {
-	write, err := encoderFor("jsonl")
+	write, err := trace.Encoder("jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,12 @@ func TestGenerateJSONLDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncoderForErrors: -format values tracegen cannot write fail.
 func TestEncoderForErrors(t *testing.T) {
-	if _, err := encoderFor("msr"); err == nil {
+	if _, err := trace.Encoder("msr"); err == nil {
 		t.Fatal("msr is inspect-only; encoding should fail")
 	}
-	if _, err := encoderFor("bogus"); err == nil {
+	if _, err := trace.Encoder("bogus"); err == nil {
 		t.Fatal("bogus format should fail")
 	}
 }

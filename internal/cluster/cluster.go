@@ -151,11 +151,10 @@ type Spec struct {
 	// nothing and changes no behaviour.
 	Recorder *timeseries.Recorder
 	// Board, when non-nil, receives wall-clock-latest copies of the
-	// registry snapshot and recorder window every PublishEvery of sim
-	// time (default 10 ms) for the live inspector. Publishing runs as
-	// ordinary engine events and is read-only.
-	Board        *live.Board
-	PublishEvery sim.Time
+	// registry snapshot and recorder window every publishEvery of sim
+	// time for the live inspector. Publishing runs as ordinary engine
+	// events and is read-only.
+	Board *live.Board
 	// Progress, when non-nil, gets a one-line status report every
 	// ProgressEvery of sim time (default 100 ms) during Run.
 	Progress      io.Writer

@@ -16,6 +16,10 @@ import (
 	"srcsim/internal/trace"
 )
 
+// publishEvery is the sim-time period at which a run hands the live
+// inspector (Spec.Board) fresh copies of its snapshot and recorder.
+const publishEvery = 10 * sim.Millisecond
+
 // Assign routes a request to (initiator, target) indexes. The default
 // policy stripes requests round-robin over both sets, which splits the
 // workload evenly across targets as in the paper's experiments.
@@ -213,11 +217,7 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	}
 	stopPublish := func() {}
 	if spec.Board != nil {
-		every := spec.PublishEvery
-		if every <= 0 {
-			every = 10 * sim.Millisecond
-		}
-		stopPublish = c.Eng.Ticker(every, publish)
+		stopPublish = c.Eng.Ticker(publishEvery, publish)
 	}
 
 	// Pause-number sampling (Fig. 8): delta of CNPs received by targets

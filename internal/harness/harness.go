@@ -23,7 +23,6 @@ import (
 	"srcsim/internal/guard"
 	"srcsim/internal/sim"
 	"srcsim/internal/ssd"
-	"srcsim/internal/sweep/cache"
 	"srcsim/internal/trace"
 	"srcsim/internal/workload"
 )
@@ -76,14 +75,6 @@ func VDITrace(seed uint64, perDir int) (*trace.Trace, error) {
 // count per training run; 1000-2500 is plenty.
 func TrainCongestionTPM(count int, seed uint64) (*core.TPM, []core.Sample, error) {
 	return devrun.TrainTPM(TargetArrayConfig(ssd.ConfigA()), count, seed)
-}
-
-// TrainCongestionTPMCached is TrainCongestionTPM behind the
-// content-addressed artifact cache (see devrun.TrainTPMCached): the
-// test suites and the sweep orchestrator share trained models across
-// processes instead of re-training identical forests.
-func TrainCongestionTPMCached(c *cache.Cache, count int, seed uint64) (*core.TPM, bool, error) {
-	return devrun.TrainTPMCached(c, TargetArrayConfig(ssd.ConfigA()), count, seed)
 }
 
 // fprintSeries renders a Gbps time series compactly, one row per bucket

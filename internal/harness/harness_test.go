@@ -30,11 +30,11 @@ func testTPMs(t *testing.T) (*core.TPM, *core.TPM) {
 	t.Helper()
 	tpmOnce.Do(func() {
 		c := devrun.TPMCacheFromEnv()
-		tpmCong, _, tpmErr = TrainCongestionTPMCached(c, 1000, 42)
+		tpmCong, _, tpmErr = TPMCongestion.Train(c, 1000, 42)
 		if tpmErr != nil {
 			return
 		}
-		tpm9, _, tpmErr = devrun.TrainTPMCached(c, Fig9Config(), 1000, 43)
+		tpm9, _, tpmErr = TPMFig9.Train(c, 1000, 43)
 	})
 	if tpmErr != nil {
 		t.Fatal(tpmErr)
@@ -314,7 +314,7 @@ func TestFeatureImportanceFlowSpeedDominates(t *testing.T) {
 		t.Skip("needs the shared TPM training; skipped with -short")
 	}
 	tpm, _ := testTPMs(t)
-	names, weights, ok := FeatureImportanceReport(tpm)
+	names, weights, ok := tpm.FeatureImportances()
 	if !ok {
 		t.Fatal("importances unavailable")
 	}

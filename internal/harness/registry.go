@@ -13,15 +13,16 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 
 	"srcsim/internal/cluster"
 	"srcsim/internal/core"
+	"srcsim/internal/devrun"
 	"srcsim/internal/netsim"
 	"srcsim/internal/ssd"
+	"srcsim/internal/sweep/cache"
 	"srcsim/internal/trace"
 )
 
@@ -36,10 +37,24 @@ const (
 	// TPMCongestion is the Sec. IV-D model: the target-array SSD-A
 	// device (TrainCongestionTPM).
 	TPMCongestion
-	// TPMFig9 is the dynamic-control model: the Fig9Config SSD-B array
-	// (devrun.TrainTPM(Fig9Config(), ...)).
+	// TPMFig9 is the dynamic-control model: the Fig9Config SSD-B array.
 	TPMFig9
 )
+
+// Train fits the kind's model behind the content-addressed artifact
+// cache (devrun.TrainTPMCached; a nil cache always trains), reporting
+// whether it was a cache hit. Every front-end resolves models through
+// here, so a kind always trains on the same device.
+func (k TPMKind) Train(c *cache.Cache, count int, seed uint64) (*core.TPM, bool, error) {
+	switch k {
+	case TPMCongestion:
+		return devrun.TrainTPMCached(c, TargetArrayConfig(ssd.ConfigA()), count, seed)
+	case TPMFig9:
+		return devrun.TrainTPMCached(c, Fig9Config(), count, seed)
+	default:
+		return nil, false, fmt.Errorf("harness: no model to train for TPM kind %v", k)
+	}
+}
 
 // String implements fmt.Stringer.
 func (k TPMKind) String() string {
@@ -318,19 +333,11 @@ func init() {
 			{Name: "seed", Default: "1", Help: "workload seed"},
 		},
 		Run: func(env *Env, p Params) (*Output, error) {
-			cfg, err := ParseSSD(p["ssd"])
+			cfg, count, seed, err := trainParams(p)
 			if err != nil {
 				return nil, err
 			}
 			ws, err := p.Ints("weights")
-			if err != nil {
-				return nil, err
-			}
-			count, err := p.Int("count")
-			if err != nil {
-				return nil, err
-			}
-			seed, err := p.Uint64("seed")
 			if err != nil {
 				return nil, err
 			}
@@ -663,7 +670,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			tr, err := loadTrace(p["file"], p["format"])
+			tr, err := trace.ReadFile(p["file"], p["format"])
 			if err != nil {
 				return nil, err
 			}
@@ -684,25 +691,6 @@ func init() {
 			}, nil
 		},
 	})
-}
-
-// loadTrace reads a trace file in the named format.
-func loadTrace(path, format string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch format {
-	case "csv":
-		return trace.ReadCSV(f)
-	case "msr":
-		return trace.ReadMSR(f)
-	case "jsonl":
-		return trace.ReadJSONL(f)
-	default:
-		return nil, fmt.Errorf("harness: unknown trace format %q (want csv, msr, or jsonl)", format)
-	}
 }
 
 // FprintReplay renders the paired replay summary, one line per mode

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -11,7 +12,8 @@ import (
 func TestRegistryListing(t *testing.T) {
 	want := []string{"fig2", "fig5", "fig7", "fig9", "fig10", "table4", "chaos-soak",
 		"adapt-aging", "adapt-phase", "adapt-failover",
-		"ctrl-degradation", "ctrl-failover", "cc-matrix", "replay", "scenario"}
+		"ctrl-degradation", "ctrl-failover", "cc-matrix", "replay", "scenario",
+		"table1", "table3", "tpm-importance"}
 	got := ExperimentNames()
 	if len(got) != len(want) {
 		t.Fatalf("registered %v, want %v", got, want)
@@ -148,5 +150,49 @@ func TestReplayRequiresFile(t *testing.T) {
 	}
 	if _, err := e.Run(nil, p); err == nil {
 		t.Fatal("replay ran without a file")
+	}
+}
+
+// TestTable3EmptyClassMarshals: a synthetic pool too small to populate
+// every SCV class leaves held-out classes without samples. Their NaN
+// accuracy must still marshal (as null), or a campaign job fails, while
+// the text table keeps printing NaN.
+func TestTable3EmptyClassMarshals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects device samples and fits forests; skipped with -short")
+	}
+	e, _ := LookupExperiment("table3")
+	p, err := e.Resolve(map[string]string{"traces": "1", "count": "500"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Run(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(out.Data)
+	if err != nil {
+		t.Fatalf("marshal table3 data: %v", err)
+	}
+	var rows []struct {
+		Class    int
+		Accuracy *float64
+	}
+	if err := json.Unmarshal(b, &rows); err != nil {
+		t.Fatal(err)
+	}
+	var empty, scored int
+	for _, r := range rows {
+		if r.Accuracy == nil {
+			empty++
+		} else {
+			scored++
+		}
+	}
+	if len(rows) != 4 || empty == 0 || scored == 0 {
+		t.Fatalf("want 4 rows, some empty and some scored: %s", b)
+	}
+	if strings.Count(out.Text, "NaN") != empty {
+		t.Fatalf("text should print NaN for the %d empty classes:\n%s", empty, out.Text)
 	}
 }

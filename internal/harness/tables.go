@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -188,8 +189,135 @@ func FprintTableIII(w io.Writer, rows []TableIIIRow) {
 	}
 }
 
-// FeatureImportanceReport returns the TPM's Breiman feature importances
-// (Sec. III-B reports arrival flow speed at 0.39).
-func FeatureImportanceReport(tpm *core.TPM) (names []string, weights []float64, ok bool) {
-	return tpm.FeatureImportances()
+// MarshalJSON encodes a held-out class without samples (NaN accuracy,
+// which encoding/json rejects) as a null accuracy.
+func (r TableIIIRow) MarshalJSON() ([]byte, error) {
+	var acc *float64
+	if !math.IsNaN(r.Accuracy) {
+		acc = &r.Accuracy
+	}
+	return json.Marshal(struct {
+		Class    workload.SCVClass
+		Accuracy *float64
+	}{r.Class, acc})
+}
+
+// Importance is a trained TPM's Breiman feature importances (Sec. III-B
+// reports arrival flow speed at 0.39), in feature-vector order.
+type Importance struct {
+	Samples  int       `json:"samples"`
+	Features []string  `json:"features"`
+	Weights  []float64 `json:"weights"`
+}
+
+// FeatureImportance trains the paper's TPM on cfg and reports its
+// feature importances. count is the per-direction request count per
+// training run.
+func FeatureImportance(cfg ssd.Config, count int, seed uint64) (*Importance, error) {
+	tpm, samples, err := devrun.TrainTPM(cfg, count, seed)
+	if err != nil {
+		return nil, err
+	}
+	names, weights, ok := tpm.FeatureImportances()
+	if !ok {
+		return nil, fmt.Errorf("harness: TPM regressor reports no feature importances")
+	}
+	return &Importance{Samples: len(samples), Features: names, Weights: weights}, nil
+}
+
+// FprintImportance renders the feature-importance report.
+func FprintImportance(w io.Writer, imp *Importance) {
+	fmt.Fprintf(w, "Breiman feature importances (%d training samples):\n", imp.Samples)
+	for i, n := range imp.Features {
+		fmt.Fprintf(w, "  %-28s %.3f\n", n, imp.Weights[i])
+	}
+}
+
+// trainParams parses the ssd/count/seed parameters shared by the
+// experiments that collect their own device samples.
+func trainParams(p Params) (cfg ssd.Config, count int, seed uint64, err error) {
+	if cfg, err = ParseSSD(p["ssd"]); err != nil {
+		return
+	}
+	if count, err = p.Int("count"); err != nil {
+		return
+	}
+	seed, err = p.Uint64("seed")
+	return
+}
+
+// The TPM-accuracy experiments train their own models on one Table II
+// device, so they declare no shared TPM. Tables I and III end in a
+// blank line, separating them when the three print back to back.
+func init() {
+	params := func(extra ...Param) []Param {
+		return append([]Param{
+			{Name: "ssd", Default: "A", Help: "Table II device: A, B, or C"},
+			{Name: "count", Default: "2500", Help: "requests per direction per training run"},
+			{Name: "seed", Default: "1", Help: "workload seed"},
+		}, extra...)
+	}
+
+	register(&Experiment{
+		Name:   "table1",
+		Title:  "TPM regression accuracy of five estimators (R²)",
+		Params: params(),
+		Run: func(env *Env, p Params) (*Output, error) {
+			cfg, count, seed, err := trainParams(p)
+			if err != nil {
+				return nil, err
+			}
+			rows, err := TableI(cfg, count, seed)
+			if err != nil {
+				return nil, err
+			}
+			text := render(func(w io.Writer) {
+				FprintTableI(w, rows)
+				fmt.Fprintln(w)
+			})
+			return &Output{Text: text, Data: rows}, nil
+		},
+	})
+
+	register(&Experiment{
+		Name:   "table3",
+		Title:  "TPM grouped cross-validation by workload SCV class (Random Forest, R²)",
+		Params: params(Param{Name: "traces", Default: "24", Help: "synthetic workload pool size"}),
+		Run: func(env *Env, p Params) (*Output, error) {
+			cfg, count, seed, err := trainParams(p)
+			if err != nil {
+				return nil, err
+			}
+			traces, err := p.Int("traces")
+			if err != nil {
+				return nil, err
+			}
+			rows, err := TableIII(cfg, count, traces, seed)
+			if err != nil {
+				return nil, err
+			}
+			text := render(func(w io.Writer) {
+				FprintTableIII(w, rows)
+				fmt.Fprintln(w)
+			})
+			return &Output{Text: text, Data: rows}, nil
+		},
+	})
+
+	register(&Experiment{
+		Name:   "tpm-importance",
+		Title:  "TPM Breiman feature importances (Sec. III-B)",
+		Params: params(),
+		Run: func(env *Env, p Params) (*Output, error) {
+			cfg, count, seed, err := trainParams(p)
+			if err != nil {
+				return nil, err
+			}
+			imp, err := FeatureImportance(cfg, count, seed)
+			if err != nil {
+				return nil, err
+			}
+			return &Output{Text: render(func(w io.Writer) { FprintImportance(w, imp) }), Data: imp}, nil
+		},
+	})
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 
 	"srcsim/internal/faults"
 	"srcsim/internal/sim"
@@ -189,21 +188,11 @@ func buildWorkload(w *WorkloadRef, seed uint64) (*trace.Trace, error) {
 }
 
 func loadTraceFile(ref *TraceRef) (*trace.Trace, error) {
-	f, err := os.Open(ref.Path)
-	if err != nil {
-		return nil, err
+	format := ref.Format
+	if format == "" {
+		format = "jsonl"
 	}
-	defer f.Close()
-	switch ref.Format {
-	case "", "jsonl":
-		return trace.ReadJSONL(f)
-	case "csv":
-		return trace.ReadCSV(f)
-	case "msr":
-		return trace.ReadMSR(f)
-	default:
-		return nil, fmt.Errorf("unknown trace format %q", ref.Format)
-	}
+	return trace.ReadFile(ref.Path, format)
 }
 
 // Fit refits an ingested trace into a reusable synthetic workload

@@ -28,6 +28,7 @@ import (
 	"os"
 
 	"srcsim/internal/faults"
+	"srcsim/internal/trace"
 )
 
 // Workload kinds a phase may reference.
@@ -252,10 +253,8 @@ func (t *TraceRef) validate() error {
 	if t.Path == "" {
 		return fmt.Errorf("trace: missing path")
 	}
-	switch t.Format {
-	case "", "jsonl", "csv", "msr":
+	if t.Format == "" {
 		return nil
-	default:
-		return fmt.Errorf("trace: unknown format %q (want jsonl, csv, or msr)", t.Format)
 	}
+	return trace.CheckFormat(t.Format)
 }

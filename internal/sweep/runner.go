@@ -14,7 +14,6 @@ import (
 	"srcsim/internal/atomicio"
 	"srcsim/internal/cluster"
 	"srcsim/internal/core"
-	"srcsim/internal/devrun"
 	"srcsim/internal/guard"
 	"srcsim/internal/harness"
 	"srcsim/internal/obs"
@@ -201,15 +200,7 @@ func (r *Runner) Run(spec *CampaignSpec) (*Report, error) {
 		count, seed := spec.trainCount(), spec.trainSeed()
 		train = func(kind harness.TPMKind) (*core.TPM, error) {
 			r.logf("sweep: training %v TPM (count %d, seed %d)...", kind, count, seed)
-			var tpm *core.TPM
-			var hit bool
-			var err error
-			switch kind {
-			case harness.TPMFig9:
-				tpm, hit, err = devrun.TrainTPMCached(r.Cache, harness.Fig9Config(), count, seed)
-			default:
-				tpm, hit, err = harness.TrainCongestionTPMCached(r.Cache, count, seed)
-			}
+			tpm, hit, err := kind.Train(r.Cache, count, seed)
 			if err == nil && hit {
 				r.logf("sweep: reused cached %v TPM", kind)
 			}

@@ -303,7 +303,7 @@ func TestSerialParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains (or loads) the shared congestion TPM; skipped with -short")
 	}
-	tpm, _, err := harness.TrainCongestionTPMCached(devrun.TPMCacheFromEnv(), 1000, 42)
+	tpm, _, err := harness.TPMCongestion.Train(devrun.TPMCacheFromEnv(), 1000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
