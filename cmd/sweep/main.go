@@ -53,8 +53,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -76,35 +78,43 @@ const (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sweep: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	campaignPath := flag.String("campaign", "", "campaign spec file (JSON)")
-	out := flag.String("out", "", "output directory (required)")
-	cacheDir := flag.String("cache", "", "content-addressed artifact cache directory (default <out>/cache; \"off\" disables)")
-	workers := flag.Int("workers", 0, "max parallel jobs (0 = campaign spec, then GOMAXPROCS)")
-	resume := flag.Bool("resume", false, "continue a previous run in -out: skip jobs whose artifacts are already on disk")
-	list := flag.Bool("list", false, "list registered experiments with their parameters and exit")
-	maxWall := flag.Duration("max-wall", 0, "stop the campaign gracefully after this much wall-clock time (0 = unlimited)")
-	serveAddr := flag.String("serve", "", "serve the live inspector (/metrics merged Prometheus text, /progress JSON with ETA) on this address during the campaign, e.g. :8080")
-	serveGrace := flag.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the campaign finishes before exiting")
-	flag.Parse()
+// run is the whole command: it parses args, writes the experiment list
+// to stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	lg := log.New(stderr, "sweep: ", 0)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	campaignPath := fs.String("campaign", "", "campaign spec file (JSON)")
+	out := fs.String("out", "", "output directory (required)")
+	cacheDir := fs.String("cache", "", "content-addressed artifact cache directory (default <out>/cache; \"off\" disables)")
+	workers := fs.Int("workers", 0, "max parallel jobs (0 = campaign spec, then GOMAXPROCS)")
+	resume := fs.Bool("resume", false, "continue a previous run in -out: skip jobs whose artifacts are already on disk")
+	list := fs.Bool("list", false, "list registered experiments with their parameters and exit")
+	maxWall := fs.Duration("max-wall", 0, "stop the campaign gracefully after this much wall-clock time (0 = unlimited)")
+	serveAddr := fs.String("serve", "", "serve the live inspector (/metrics merged Prometheus text, /progress JSON with ETA) on this address during the campaign, e.g. :8080")
+	serveGrace := fs.Duration("serve-grace", 0, "keep the live inspector up this long (wall time) after the campaign finishes before exiting")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return exitOK
+		}
+		return exitError
+	}
 
 	if *list {
-		harness.FprintExperiments(os.Stdout)
+		harness.FprintExperiments(stdout)
 		return exitOK
 	}
 	if *campaignPath == "" || *out == "" {
-		log.Print("need -campaign and -out (or -list)")
+		lg.Print("need -campaign and -out (or -list)")
 		return exitError
 	}
 
 	spec, err := sweep.LoadCampaign(*campaignPath)
 	if err != nil {
-		log.Print(err)
+		lg.Print(err)
 		return exitError
 	}
 
@@ -114,11 +124,16 @@ func run() int {
 	stopper := guard.NewStopper()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		s := <-sigc
-		signal.Stop(sigc)
-		fmt.Fprintf(os.Stderr, "sweep: %v: stopping campaign (again to kill)\n", s)
-		stopper.Stop(fmt.Sprintf("signal: %v", s))
+		defer signal.Stop(sigc)
+		select {
+		case s := <-sigc:
+			fmt.Fprintf(stderr, "sweep: %v: stopping campaign (again to kill)\n", s)
+			stopper.Stop(fmt.Sprintf("signal: %v", s))
+		case <-done:
+		}
 	}()
 	if *maxWall > 0 {
 		timer := time.AfterFunc(*maxWall, func() {
@@ -139,11 +154,11 @@ func run() int {
 		board = live.NewBoard()
 		srv, err := live.Serve(*serveAddr, board)
 		if err != nil {
-			log.Print(err)
+			lg.Print(err)
 			return exitError
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "sweep: live inspector on http://%s (/metrics, /progress)\n", srv.Addr())
+		fmt.Fprintf(stderr, "sweep: live inspector on http://%s (/metrics, /progress)\n", srv.Addr())
 		if *serveGrace > 0 {
 			// Hold the inspector up after the campaign so scrapers racing
 			// a short run still see the final state.
@@ -156,25 +171,25 @@ func run() int {
 		Workers: *workers,
 		Stop:    stopper,
 		Resume:  *resume,
-		Log:     os.Stderr,
+		Log:     stderr,
 		Board:   board,
 	}
 	rep, err := runner.Run(spec)
 	if err != nil {
-		log.Print(err)
+		lg.Print(err)
 		return exitError
 	}
 
-	fmt.Fprintf(os.Stderr, "sweep: %s: %d/%d done (failed %d, resumed %d) | cache hits: %d/%d\n",
+	fmt.Fprintf(stderr, "sweep: %s: %d/%d done (failed %d, resumed %d) | cache hits: %d/%d\n",
 		rep.Campaign, rep.Done+rep.Resumed, rep.Total, rep.Failed, rep.Resumed, rep.CacheHits, rep.Executed)
-	fmt.Fprintf(os.Stderr, "sweep: outputs in %s (report.txt, aggregate.json, manifest.json)\n", rep.OutDir)
+	fmt.Fprintf(stderr, "sweep: outputs in %s (report.txt, aggregate.json, manifest.json)\n", rep.OutDir)
 
 	if rep.Truncated {
-		log.Printf("campaign truncated: %s (use -resume to finish)", stopper.Reason())
+		lg.Printf("campaign truncated: %s (use -resume to finish)", stopper.Reason())
 		return exitTruncated
 	}
 	if rep.Failed > 0 {
-		log.Printf("%d job(s) failed; see manifest.json", rep.Failed)
+		lg.Printf("%d job(s) failed; see manifest.json", rep.Failed)
 		return exitError
 	}
 	return exitOK

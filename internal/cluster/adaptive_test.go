@@ -35,13 +35,13 @@ func TestSummaryShapeWithoutAdaptation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	b, err := json.Marshal(res.Summary)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"ladder"`, `"adapt_`} {
-		if strings.Contains(buf.String(), key) {
-			t.Errorf("adaptation-off summary contains %s:\n%s", key, buf.String())
+		if strings.Contains(string(b), key) {
+			t.Errorf("adaptation-off summary contains %s:\n%s", key, b)
 		}
 	}
 	if res.Ladder != nil || res.Retrains != 0 || res.AdaptRecovered {
@@ -78,7 +78,7 @@ func TestSummaryLedgerWithAdaptation(t *testing.T) {
 	if res.Ladder[0].To != core.LadderStatic.String() {
 		t.Fatalf("first transition %+v, want a Static descent", res.Ladder[0])
 	}
-	b, err := json.Marshal(res.Summary())
+	b, err := json.Marshal(res.Summary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSummaryLedgerWithAdaptation(t *testing.T) {
 	if got := res.Completed + res.Failed; got != res.Submitted {
 		t.Fatalf("accounting leak under adaptation: %d+%d != %d", res.Completed, res.Failed, res.Submitted)
 	}
-	if got := res.Metrics.Counters["core/degraded_entries{mode=DCQCN-SRC}"]; got < 1 {
+	if got := spec.Metrics.Snapshot().Counters["core/degraded_entries{mode=DCQCN-SRC}"]; got < 1 {
 		t.Fatalf("Static descent not counted: core/degraded_entries = %g", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestSummaryLedgerWithAdaptation(t *testing.T) {
 // ladder to Static, the Static series must agree with the ledger, the
 // accounting must close, and the run must replay byte for byte.
 func TestAdaptCtrlTelemetryStall(t *testing.T) {
-	run := func() (*Result, Digest) {
+	run := func() (*Result, *obs.Registry) {
 		spec := congestionSpec()
 		spec.Mode = DCQCNSRC
 		spec.TPM = sharedTPM(t)
@@ -125,10 +125,10 @@ func TestAdaptCtrlTelemetryStall(t *testing.T) {
 			}
 			t.Fatal(err)
 		}
-		return res, res.Digest()
+		return res, spec.Metrics
 	}
 
-	res, d1 := run()
+	res, reg := run()
 	if got := res.Completed + res.Failed; got != res.Submitted {
 		t.Fatalf("accounting leak: %d+%d != %d", res.Completed, res.Failed, res.Submitted)
 	}
@@ -144,16 +144,16 @@ func TestAdaptCtrlTelemetryStall(t *testing.T) {
 	if !stalled {
 		t.Fatalf("telemetry stall produced no telemetry-stale Static descent on target 0: %+v", res.Ladder)
 	}
-	if got := res.Metrics.Counters["core/degraded_entries{mode=DCQCN-SRC}"]; got != float64(descents) {
+	if got := reg.Snapshot().Counters["core/degraded_entries{mode=DCQCN-SRC}"]; got != float64(descents) {
 		t.Fatalf("core/degraded_entries = %g, ledger has %d Static descents", got, descents)
 	}
 
-	_, d2 := run()
-	b1, err := json.Marshal(d1)
+	res2, _ := run()
+	b1, err := json.Marshal(res.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := json.Marshal(d2)
+	b2, err := json.Marshal(res2.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}

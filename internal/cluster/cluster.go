@@ -70,6 +70,19 @@ func (m Mode) String() string {
 	}
 }
 
+// MarshalText encodes the mode as its paper label.
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// The paper's measurement method (Sec. IV-B): per-millisecond metric
+// buckets (Figs. 7-10), with the first and last 10% of the arrival span
+// trimmed as warm-up and wrap-up. Rack links have the paper's 1 µs
+// delay.
+const (
+	metricBucket = sim.Millisecond
+	trimFrac     = 0.10
+	linkDelay    = sim.Microsecond
+)
+
 // Spec describes one experiment setup.
 type Spec struct {
 	Initiators int
@@ -92,25 +105,18 @@ type Spec struct {
 	StaticWeight int
 
 	// Net carries fabric parameters; LinkRate (bits/s) is the host link
-	// speed and defaults to Net.DCQCN.LineRate (or 40 Gbps). The paper
-	// uses 1 µs link delay.
-	Net       netsim.Config
-	LinkRate  float64
-	LinkDelay sim.Time
+	// speed and defaults to Net.DCQCN.LineRate (or 40 Gbps).
+	Net      netsim.Config
+	LinkRate float64
 	// UseClos builds the paper's full Clos fabric and places initiators
 	// and targets on distinct ToRs; otherwise a single-rack topology is
 	// used (the paper's small-scale experiments).
 	UseClos bool
 	Clos    netsim.ClosSpec
 
-	// MetricBucket is the time-series resolution (default 1 ms, as in
-	// Figs. 7-10).
-	MetricBucket sim.Time
 	// Horizon bounds the simulation (default 3x trace duration plus
 	// 200 ms of drain).
 	Horizon sim.Time
-	// TrimFrac is the warm-up/wrap-up trim (default 0.10, Sec. IV-B).
-	TrimFrac float64
 	// TXQCap bounds in-flight read data per target in bytes (0 uses
 	// nvmeof.DefaultTXQCap; negative disables CQ backpressure).
 	TXQCap int64
@@ -133,10 +139,10 @@ type Spec struct {
 	Guard guard.Config
 
 	// Metrics, when non-nil, receives counters/gauges/histograms from
-	// every instrumented component and enables engine profiling; the
-	// snapshot lands in Result.Metrics. Nil (the default) keeps all hooks
-	// no-ops unless Recorder or Board asks for a registry, in which case
-	// the run gets a private one (engine profiling stays off).
+	// every instrumented component and enables engine profiling. Nil
+	// (the default) keeps all hooks no-ops unless Recorder or Board asks
+	// for a registry, in which case the run gets a private one (engine
+	// profiling stays off).
 	Metrics *obs.Registry
 	// Trace, when non-nil, records sim-time events (ECN marks, PFC
 	// pauses, DCQCN throttle spans, SSD GC, SRC adjustments) for Chrome
@@ -186,15 +192,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	// The NIC line rate must match the host link.
 	s.Net.DCQCN.LineRate = s.LinkRate
-	if s.LinkDelay <= 0 {
-		s.LinkDelay = sim.Microsecond
-	}
-	if s.MetricBucket <= 0 {
-		s.MetricBucket = sim.Millisecond
-	}
-	if s.TrimFrac <= 0 {
-		s.TrimFrac = 0.10
-	}
 	s.Guard = s.Guard.WithDefaults()
 	// A schedule's Recovery block arms any recovery knob the caller left
 	// unset; explicit Spec settings win.
@@ -253,10 +250,12 @@ type Cluster struct {
 	completed int
 	failed    int
 	total     int
+	// End-to-end latencies (ms) of completed reads and writes.
+	readLats, writeLats []float64
 
 	// Guard state: the in-flight ledger (watchdog only), the fatal
 	// verdict (stall or violation), and the graceful-truncation marker.
-	flight         map[uint64]flightRec
+	flight         map[uint64]trace.Request
 	guardErr       error
 	truncated      bool
 	truncateReason string
@@ -330,14 +329,14 @@ func New(spec Spec) (*Cluster, error) {
 		sel = append(sel, hosts[len(hosts)-spec.Targets:]...)
 		hosts = sel
 	} else {
-		hosts = netsim.BuildRack(net, need, spec.LinkRate, spec.LinkDelay)
+		hosts = netsim.BuildRack(net, need, spec.LinkRate, linkDelay)
 	}
 
 	c := &Cluster{
 		Spec: spec, Eng: eng, Net: net,
-		readBits:         stats.NewTimeSeries(spec.MetricBucket),
-		writeBits:        stats.NewTimeSeries(spec.MetricBucket),
-		pauses:           stats.NewTimeSeries(spec.MetricBucket),
+		readBits:         stats.NewTimeSeries(metricBucket),
+		writeBits:        stats.NewTimeSeries(metricBucket),
+		pauses:           stats.NewTimeSeries(metricBucket),
 		telemetryStalled: make([]bool, spec.Targets),
 		sc:               sc,
 		reg:              reg,
@@ -359,13 +358,20 @@ func New(spec Spec) (*Cluster, error) {
 
 	for i := 0; i < spec.Initiators; i++ {
 		ini := nvmeof.NewInitiator(net, eng, hosts[i])
+		// Run submits every request at exactly its arrival time, so that
+		// is where its latency starts.
 		ini.OnComplete = func(req trace.Request, readData bool, at sim.Time) {
+			lat := (at - req.Arrival).Millis()
 			if readData {
+				c.readLats = append(c.readLats, lat)
 				c.readBits.Add(at, float64(req.Size)*8)
 				if c.adaptReadBits != nil {
 					c.adaptReadBits[req.Target] += float64(req.Size) * 8
 				}
+			} else {
+				c.writeLats = append(c.writeLats, lat)
 			}
+			delete(c.flight, req.ID)
 			c.completed++
 			if c.completed+c.failed >= c.total && c.total > 0 {
 				eng.Stop()
@@ -374,6 +380,7 @@ func New(spec Spec) (*Cluster, error) {
 		if spec.Retry.Enabled() {
 			ini.SetRetryPolicy(spec.Retry)
 			ini.OnFailed = func(req trace.Request, at sim.Time) {
+				delete(c.flight, req.ID)
 				c.failed++
 				if c.completed+c.failed >= c.total && c.total > 0 {
 					eng.Stop()

@@ -247,7 +247,7 @@ func TestDeterministicResults(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.AggregatedGbps != b.AggregatedGbps || a.TotalCNPs != b.TotalCNPs || a.Duration != b.Duration {
+	if a.AggregatedGbps != b.AggregatedGbps || a.TotalCNPs != b.TotalCNPs || a.DurationMs != b.DurationMs {
 		t.Fatalf("nondeterministic cluster run: %+v vs %+v", a, b)
 	}
 }

@@ -53,8 +53,8 @@ func (c *Cluster) AddBackground(flows []BackgroundFlow) error {
 		if tor == nil {
 			return fmt.Errorf("cluster: no switch found for background traffic")
 		}
-		c.Net.Connect(src, tor, c.Spec.LinkRate, c.Spec.LinkDelay)
-		c.Net.Connect(dst, tor, c.Spec.LinkRate, c.Spec.LinkDelay)
+		c.Net.Connect(src, tor, c.Spec.LinkRate, linkDelay)
+		c.Net.Connect(dst, tor, c.Spec.LinkRate, linkDelay)
 		c.Net.ComputeRoutes()
 
 		flow := c.Net.NewFlow(src, dst)

@@ -9,14 +9,6 @@ import (
 	"srcsim/internal/trace"
 )
 
-// flightRec is one submitted-but-unfinished request in the guard's
-// in-flight ledger (maintained only when the liveness watchdog is
-// armed).
-type flightRec struct {
-	req         trace.Request
-	submittedAt sim.Time
-}
-
 // AuditInvariants verifies the cluster-level ledger: completions and
 // failures never outrun submissions — checked continuously during the
 // run, not just at the end.
@@ -91,14 +83,14 @@ func (c *Cluster) buildDump() *guard.Dump {
 	}
 	// Oldest-first census, capped; selection is by (age, id) so map
 	// iteration order cannot leak into the dump.
-	recs := make([]flightRec, 0, len(c.flight))
+	recs := make([]trace.Request, 0, len(c.flight))
 	for _, r := range c.flight {
 		recs = append(recs, r)
 	}
 	for i := 0; i < len(recs); i++ {
 		for j := i + 1; j < len(recs); j++ {
-			if recs[j].submittedAt < recs[i].submittedAt ||
-				(recs[j].submittedAt == recs[i].submittedAt && recs[j].req.ID < recs[i].req.ID) {
+			if recs[j].Arrival < recs[i].Arrival ||
+				(recs[j].Arrival == recs[i].Arrival && recs[j].ID < recs[i].ID) {
 				recs[i], recs[j] = recs[j], recs[i]
 			}
 		}
@@ -107,7 +99,7 @@ func (c *Cluster) buildDump() *guard.Dump {
 		}
 	}
 	if len(recs) > 0 {
-		d.OldestAge = now - recs[0].submittedAt
+		d.OldestAge = now - recs[0].Arrival
 	}
 	lim := len(recs)
 	if lim > guard.MaxDumpCommands {
@@ -115,17 +107,17 @@ func (c *Cluster) buildDump() *guard.Dump {
 	}
 	perIni := make([]int, len(c.Initiators))
 	for _, r := range recs {
-		perIni[r.req.Initiator]++
+		perIni[r.Initiator]++
 	}
 	for _, r := range recs[:lim] {
 		d.InFlight = append(d.InFlight, guard.CommandInfo{
-			ID:          r.req.ID,
-			Initiator:   r.req.Initiator,
-			Target:      r.req.Target,
-			Write:       r.req.Op == trace.Write,
-			Bytes:       int64(r.req.Size),
-			SubmittedAt: r.submittedAt,
-			Age:         now - r.submittedAt,
+			ID:          r.ID,
+			Initiator:   r.Initiator,
+			Target:      r.Target,
+			Write:       r.Op == trace.Write,
+			Bytes:       int64(r.Size),
+			SubmittedAt: r.Arrival,
+			Age:         now - r.Arrival,
 		})
 	}
 	for i, ini := range c.Initiators {
@@ -176,7 +168,7 @@ func (c *Cluster) installGuard() (teardown func()) {
 	var stops []func()
 
 	if cfg.StallHorizon > 0 {
-		c.flight = make(map[uint64]flightRec)
+		c.flight = make(map[uint64]trace.Request)
 		lastDone := -1
 		stops = append(stops, c.Eng.Ticker(cfg.CheckEvery, func() {
 			if c.guardErr != nil {
@@ -190,8 +182,8 @@ func (c *Cluster) installGuard() (teardown func()) {
 			}
 			oldest := sim.MaxTime
 			for _, r := range c.flight {
-				if r.submittedAt < oldest {
-					oldest = r.submittedAt
+				if r.Arrival < oldest {
+					oldest = r.Arrival
 				}
 			}
 			if c.Eng.Now()-oldest <= cfg.StallHorizon {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -96,11 +95,11 @@ func TestStopperMidRunTruncates(t *testing.T) {
 			t.Fatalf("truncation at 3ms should leave work undone: %d/%d",
 				res.Completed, res.Submitted)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
+		b, err := json.Marshal(res.Summary)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	a := run()
 	var sum struct {
@@ -165,34 +164,5 @@ func TestWallBudgetTruncates(t *testing.T) {
 	}
 	if res.Completed > res.Submitted {
 		t.Fatalf("ledger inconsistent after truncation: %d/%d", res.Completed, res.Submitted)
-	}
-}
-
-// TestWriteJSONFileAtomic writes a summary through the atomic file
-// helper and reads it back.
-func TestWriteJSONFileAtomic(t *testing.T) {
-	spec := congestionSpec()
-	c, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(vdiTrace(t, 50), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "summary.json")
-	if err := res.WriteJSONFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum map[string]any
-	if err := json.Unmarshal(raw, &sum); err != nil {
-		t.Fatalf("written summary is not valid JSON: %v", err)
-	}
-	if _, ok := sum["submitted"]; !ok {
-		t.Fatalf("summary missing ledger fields: %s", raw)
 	}
 }

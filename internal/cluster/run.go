@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
-	"srcsim/internal/atomicio"
 	"srcsim/internal/core"
 	"srcsim/internal/ctrlplane"
 	"srcsim/internal/guard"
@@ -30,10 +27,11 @@ func DefaultAssign(req trace.Request, idx int, initiators, targets int) (int, in
 	return idx % initiators, idx % targets
 }
 
-// Result summarises one run.
+// Result is the record of one run: its scalar ledger (the embedded
+// Summary, which is also its JSON form), the raw per-bucket series and
+// the SRC adjustment log.
 type Result struct {
-	Mode     Mode
-	Duration sim.Time
+	Summary
 
 	// Per-bucket series in Gbps (reads measured at initiators, writes at
 	// targets) and raw pause counts per bucket.
@@ -41,75 +39,82 @@ type Result struct {
 	WriteGbps []float64
 	Pauses    []float64
 
+	// WeightEvents merges all SRC adjustments (empty unless DCQCN-SRC).
+	WeightEvents []core.AdjustEvent
+}
+
+// Summary is a run's scalar ledger. Its JSON field order and omitempty
+// keys are part of every digest, so fields are only ever appended.
+type Summary struct {
+	Mode       Mode    `json:"mode"`
+	DurationMs float64 `json:"duration_ms"`
+
 	// Steady-state aggregates (Gbps) over the active window: the trace's
-	// arrival span with the first and last TrimFrac removed (Sec. IV-B's
+	// arrival span with the first and last trimFrac removed (Sec. IV-B's
 	// warm-up/wrap-up trimming). The post-arrival drain tail is excluded
 	// so runs of different lengths compare like the paper's timelines.
-	MeanReadGbps   float64
-	MeanWriteGbps  float64
-	AggregatedGbps float64
+	MeanReadGbps   float64 `json:"read_gbps"`
+	MeanWriteGbps  float64 `json:"write_gbps"`
+	AggregatedGbps float64 `json:"aggregated_gbps"`
 
-	Completed, Submitted int
-	// Failed counts requests abandoned after exhausting their retry
-	// budget; the accounting invariant under faults is
-	// Completed + Failed == Submitted.
-	Failed int
-	// Truncated marks a run cut short by graceful cancellation (a
-	// guard.Stopper fired or the wall budget ran out) rather than by
-	// completing its workload; the metric and fault ledgers cover the
-	// portion that ran. TruncateReason says why.
-	Truncated      bool
-	TruncateReason string
-	TotalCNPs      uint64
-	TotalECNMarks  uint64
-	TotalPFCPauses uint64
-
-	// Fault-injection and recovery counters (all zero on fault-free
-	// runs).
-	FaultsInjected   uint64
-	Retries          uint64
-	Timeouts         uint64
-	StaleResponses   uint64
-	DupsDropped      uint64
-	DroppedPackets   uint64
-	CorruptedPackets uint64
-	RouteDrops       uint64
-	WatchdogTrips    uint64
-	ForcedPauses     uint64
-	LinkDowns        uint64
+	Completed      int    `json:"completed"`
+	Submitted      int    `json:"submitted"`
+	TotalCNPs      uint64 `json:"cnps"`
+	TotalECNMarks  uint64 `json:"ecn_marks"`
+	TotalPFCPauses uint64 `json:"pfc_pauses"`
 
 	// End-to-end request latency percentiles (submission at the
 	// initiator to completion at the initiator), in milliseconds.
-	ReadLatencyP50Ms  float64
-	ReadLatencyP99Ms  float64
-	WriteLatencyP50Ms float64
-	WriteLatencyP99Ms float64
+	ReadLatencyP50Ms  float64 `json:"read_latency_p50_ms"`
+	ReadLatencyP99Ms  float64 `json:"read_latency_p99_ms"`
+	WriteLatencyP50Ms float64 `json:"write_latency_p50_ms"`
+	WriteLatencyP99Ms float64 `json:"write_latency_p99_ms"`
+	// WeightEventCount is len(Result.WeightEvents).
+	WeightEventCount int `json:"weight_events"`
 
-	// WeightEvents merges all SRC adjustments (empty unless DCQCN-SRC).
-	WeightEvents []core.AdjustEvent
+	// Truncated marks a run cut short by graceful cancellation (a
+	// guard.Stopper fired or the wall budget ran out) rather than by
+	// completing its workload; the metric and fault ledgers cover the
+	// portion that ran. TruncateReason says why. Both are omitted on
+	// complete runs.
+	Truncated      bool   `json:"truncated,omitempty"`
+	TruncateReason string `json:"truncate_reason,omitempty"`
 
-	// Degradation-ladder ledger (empty unless a controller left
-	// Predictive, which takes Spec.SRC.Adaptive or a firing StaleAfter
-	// watchdog): every per-target ladder transition merged in time order,
-	// the retraining counters summed across targets (adaptive runs only),
-	// and the run's time-to-recover — from the first severe descent
-	// (ModelFree or Static: the model is out of the loop) until every
-	// target that left Predictive is back on it (AdaptRecovered false
-	// when the run ends still degraded).
-	Ladder         []LadderStep
-	Retrains       uint64
-	Promotions     uint64
-	Rejections     uint64
-	AdaptRecovered bool
-	AdaptRecoverMs float64
+	// Failed counts requests abandoned after exhausting their retry
+	// budget; the accounting invariant under faults is
+	// Completed + Failed == Submitted. It and the fault-injection and
+	// recovery counters are omitted when zero (fault-free runs).
+	Failed           int    `json:"failed,omitempty"`
+	FaultsInjected   uint64 `json:"faults_injected,omitempty"`
+	Retries          uint64 `json:"retries,omitempty"`
+	Timeouts         uint64 `json:"timeouts,omitempty"`
+	StaleResponses   uint64 `json:"stale_responses,omitempty"`
+	DupsDropped      uint64 `json:"dups_dropped,omitempty"`
+	DroppedPackets   uint64 `json:"dropped_packets,omitempty"`
+	CorruptedPackets uint64 `json:"corrupted_packets,omitempty"`
+	RouteDrops       uint64 `json:"route_drops,omitempty"`
+	WatchdogTrips    uint64 `json:"watchdog_trips,omitempty"`
+	ForcedPauses     uint64 `json:"forced_pauses,omitempty"`
+	LinkDowns        uint64 `json:"link_downs,omitempty"`
+
+	// Degradation-ladder ledger, omitted (empty/zero) unless a controller
+	// left Predictive, which takes Spec.SRC.Adaptive or a firing
+	// StaleAfter watchdog: every per-target ladder transition merged in
+	// time order, the retraining counters summed across targets (adaptive
+	// runs only), and the run's time-to-recover — from the first severe
+	// descent (ModelFree or Static: the model is out of the loop) until
+	// every target that left Predictive is back on it (AdaptRecovered
+	// false when the run ends still degraded).
+	Ladder         []LadderStep `json:"ladder,omitempty"`
+	Retrains       uint64       `json:"adapt_retrains,omitempty"`
+	Promotions     uint64       `json:"adapt_promotions,omitempty"`
+	Rejections     uint64       `json:"adapt_rejections,omitempty"`
+	AdaptRecovered bool         `json:"adapt_recovered,omitempty"`
+	AdaptRecoverMs float64      `json:"adapt_recover_ms,omitempty"`
 
 	// Ctrl is the in-band control plane's message/liveness ledger; nil
-	// unless Spec.Ctrl was enabled.
-	Ctrl *ctrlplane.Ledger
-
-	// Metrics is the registry snapshot taken after the end-of-run fold;
-	// nil unless Spec.Metrics was set.
-	Metrics *obs.Snapshot
+	// (and omitted) unless Spec.Ctrl was enabled.
+	Ctrl *ctrlplane.Ledger `json:"ctrl,omitempty"`
 }
 
 // LadderStep is one adaptive-ladder transition in the run ledger,
@@ -136,30 +141,6 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	}
 	spec := c.Spec
 	c.total = tr.Len()
-	submitTimes := make(map[uint64]sim.Time, tr.Len())
-	var readLats, writeLats []float64
-	for i := range c.Initiators {
-		ini := c.Initiators[i]
-		prev := ini.OnComplete
-		ini.OnComplete = func(req trace.Request, readData bool, at sim.Time) {
-			if t0, ok := submitTimes[req.ID]; ok {
-				lat := (at - t0).Millis()
-				if readData {
-					readLats = append(readLats, lat)
-				} else {
-					writeLats = append(writeLats, lat)
-				}
-			}
-			delete(c.flight, req.ID)
-			prev(req, readData, at)
-		}
-		if prevFail := ini.OnFailed; prevFail != nil {
-			ini.OnFailed = func(req trace.Request, at sim.Time) {
-				delete(c.flight, req.ID)
-				prevFail(req, at)
-			}
-		}
-	}
 
 	// MQSim-style preconditioning: install the workload footprint's
 	// mapping entries so runs measure steady-state behaviour.
@@ -182,9 +163,8 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 		tgt := c.Targets[tgtIdx]
 		r.Initiator, r.Target = iniIdx, tgtIdx
 		c.Eng.Schedule(r.Arrival, func() {
-			submitTimes[r.ID] = c.Eng.Now()
 			if c.flight != nil {
-				c.flight[r.ID] = flightRec{req: r, submittedAt: c.Eng.Now()}
+				c.flight[r.ID] = r
 			}
 			ini.Submit(r, tgt.T.Node)
 		})
@@ -223,7 +203,7 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	// Pause-number sampling (Fig. 8): delta of CNPs received by targets
 	// per metric bucket.
 	var lastCNPs uint64
-	stopPause := c.Eng.Ticker(spec.MetricBucket, func() {
+	stopPause := c.Eng.Ticker(metricBucket, func() {
 		var cur uint64
 		for _, t := range c.Targets {
 			cur += t.T.Node.NIC.CNPsReceived
@@ -322,17 +302,24 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	if c.guardErr != nil {
 		return nil, c.guardErr
 	}
-	duration := c.Eng.Now()
-
-	res := &Result{
+	res := &Result{Summary: Summary{
 		Mode:           spec.Mode,
-		Duration:       duration,
+		DurationMs:     c.Eng.Now().Millis(),
 		Completed:      c.completed,
 		Failed:         c.failed,
 		Submitted:      tr.Len(),
 		Truncated:      c.truncated,
 		TruncateReason: c.truncateReason,
-	}
+		TotalECNMarks:  c.Net.ECNMarks,
+		TotalPFCPauses: c.Net.PFCPauses,
+
+		DroppedPackets:   c.Net.DroppedPackets,
+		CorruptedPackets: c.Net.CorruptedPackets,
+		RouteDrops:       c.Net.RouteDrops,
+		WatchdogTrips:    c.Net.WatchdogTrips,
+		ForcedPauses:     c.Net.ForcedPauses,
+		LinkDowns:        c.Net.LinkDowns,
+	}}
 	for _, ini := range c.Initiators {
 		res.Retries += ini.Retries
 		res.Timeouts += ini.Timeouts
@@ -341,12 +328,6 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	for _, t := range c.Targets {
 		res.DupsDropped += t.T.DupsDropped
 	}
-	res.DroppedPackets = c.Net.DroppedPackets
-	res.CorruptedPackets = c.Net.CorruptedPackets
-	res.RouteDrops = c.Net.RouteDrops
-	res.WatchdogTrips = c.Net.WatchdogTrips
-	res.ForcedPauses = c.Net.ForcedPauses
-	res.LinkDowns = c.Net.LinkDowns
 	if c.Injector != nil {
 		res.FaultsInjected = c.Injector.Injected
 	}
@@ -377,8 +358,8 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	res.WriteGbps = pad(res.WriteGbps)
 
 	// Active measurement window: the trimmed arrival span.
-	lo := int(sim.Time(float64(tr.Duration())*spec.TrimFrac) / spec.MetricBucket)
-	hi := int(sim.Time(float64(tr.Duration())*(1-spec.TrimFrac)) / spec.MetricBucket)
+	lo := int(sim.Time(float64(tr.Duration())*trimFrac) / metricBucket)
+	hi := int(sim.Time(float64(tr.Duration())*(1-trimFrac)) / metricBucket)
 	if hi > n {
 		hi = n
 	}
@@ -396,10 +377,10 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	}
 	res.AggregatedGbps = stats.Mean(window(agg))
 
-	res.ReadLatencyP50Ms = stats.Percentile(readLats, 50)
-	res.ReadLatencyP99Ms = stats.Percentile(readLats, 99)
-	res.WriteLatencyP50Ms = stats.Percentile(writeLats, 50)
-	res.WriteLatencyP99Ms = stats.Percentile(writeLats, 99)
+	res.ReadLatencyP50Ms = stats.Percentile(c.readLats, 50)
+	res.ReadLatencyP99Ms = stats.Percentile(c.readLats, 99)
+	res.WriteLatencyP50Ms = stats.Percentile(c.writeLats, 50)
+	res.WriteLatencyP99Ms = stats.Percentile(c.writeLats, 99)
 
 	for tIdx, t := range c.Targets {
 		res.TotalCNPs += t.T.Node.NIC.CNPsReceived
@@ -436,15 +417,12 @@ func (c *Cluster) Run(tr *trace.Trace, assign Assign) (*Result, error) {
 	sort.SliceStable(res.Ladder, func(i, j int) bool {
 		return res.Ladder[i].AtMs < res.Ladder[j].AtMs
 	})
+	res.WeightEventCount = len(res.WeightEvents)
 	res.AdaptRecovered, res.AdaptRecoverMs = ladderRecovery(res.Ladder)
-	res.TotalECNMarks = c.Net.ECNMarks
-	res.TotalPFCPauses = c.Net.PFCPauses
 
 	c.reg.Fold()
 	if reg := spec.Metrics; reg != nil {
 		c.profileMetrics(reg)
-		snap := reg.Snapshot()
-		res.Metrics = &snap
 	}
 	if spec.Board != nil {
 		// Final publish after the end-of-run fold, so the inspector's
@@ -506,121 +484,12 @@ func (c *Cluster) profileMetrics(reg *obs.Registry) {
 	}
 }
 
-// Summary is the machine-readable digest of a Result.
-type Summary struct {
-	Mode           string  `json:"mode"`
-	DurationMs     float64 `json:"duration_ms"`
-	ReadGbps       float64 `json:"read_gbps"`
-	WriteGbps      float64 `json:"write_gbps"`
-	AggregatedGbps float64 `json:"aggregated_gbps"`
-	Completed      int     `json:"completed"`
-	Submitted      int     `json:"submitted"`
-	CNPs           uint64  `json:"cnps"`
-	ECNMarks       uint64  `json:"ecn_marks"`
-	PFCPauses      uint64  `json:"pfc_pauses"`
-	ReadLatP50Ms   float64 `json:"read_latency_p50_ms"`
-	ReadLatP99Ms   float64 `json:"read_latency_p99_ms"`
-	WriteLatP50Ms  float64 `json:"write_latency_p50_ms"`
-	WriteLatP99Ms  float64 `json:"write_latency_p99_ms"`
-	WeightEvents   int     `json:"weight_events"`
-
-	// Truncation markers, omitted on complete runs so their JSON shape
-	// is unchanged. A truncated summary is still fully valid JSON with
-	// every ledger intact — it just covers a shorter run.
-	Truncated      bool   `json:"truncated,omitempty"`
-	TruncateReason string `json:"truncate_reason,omitempty"`
-
-	// Fault/recovery counters, omitted when zero so fault-free runs keep
-	// their historical JSON shape byte-for-byte.
-	Failed           int    `json:"failed,omitempty"`
-	FaultsInjected   uint64 `json:"faults_injected,omitempty"`
-	Retries          uint64 `json:"retries,omitempty"`
-	Timeouts         uint64 `json:"timeouts,omitempty"`
-	StaleResponses   uint64 `json:"stale_responses,omitempty"`
-	DupsDropped      uint64 `json:"dups_dropped,omitempty"`
-	DroppedPackets   uint64 `json:"dropped_packets,omitempty"`
-	CorruptedPackets uint64 `json:"corrupted_packets,omitempty"`
-	RouteDrops       uint64 `json:"route_drops,omitempty"`
-	WatchdogTrips    uint64 `json:"watchdog_trips,omitempty"`
-	ForcedPauses     uint64 `json:"forced_pauses,omitempty"`
-	LinkDowns        uint64 `json:"link_downs,omitempty"`
-
-	// Degradation-ladder ledger, omitted entirely (empty/zero) when no
-	// controller left Predictive, so runs without adaptation and without
-	// a firing staleness watchdog keep their historical JSON shape
-	// byte-for-byte.
-	Ladder         []LadderStep `json:"ladder,omitempty"`
-	Retrains       uint64       `json:"adapt_retrains,omitempty"`
-	Promotions     uint64       `json:"adapt_promotions,omitempty"`
-	Rejections     uint64       `json:"adapt_rejections,omitempty"`
-	AdaptRecovered bool         `json:"adapt_recovered,omitempty"`
-	AdaptRecoverMs float64      `json:"adapt_recover_ms,omitempty"`
-
-	// Ctrl is the in-band control plane's ledger, omitted entirely when
-	// Spec.Ctrl is off so plane-less summaries keep their historical JSON
-	// shape byte-for-byte.
-	Ctrl *ctrlplane.Ledger `json:"ctrl,omitempty"`
-
-	// Metrics is present only when the run had a registry attached, so
-	// uninstrumented runs keep their historical JSON shape byte-for-byte.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// Summary digests the result for JSON output.
-func (r *Result) Summary() Summary {
-	return Summary{
-		Mode:           r.Mode.String(),
-		DurationMs:     r.Duration.Millis(),
-		ReadGbps:       r.MeanReadGbps,
-		WriteGbps:      r.MeanWriteGbps,
-		AggregatedGbps: r.AggregatedGbps,
-		Completed:      r.Completed,
-		Submitted:      r.Submitted,
-		CNPs:           r.TotalCNPs,
-		ECNMarks:       r.TotalECNMarks,
-		PFCPauses:      r.TotalPFCPauses,
-		ReadLatP50Ms:   r.ReadLatencyP50Ms,
-		ReadLatP99Ms:   r.ReadLatencyP99Ms,
-		WriteLatP50Ms:  r.WriteLatencyP50Ms,
-		WriteLatP99Ms:  r.WriteLatencyP99Ms,
-		WeightEvents:   len(r.WeightEvents),
-
-		Truncated:      r.Truncated,
-		TruncateReason: r.TruncateReason,
-
-		Failed:           r.Failed,
-		FaultsInjected:   r.FaultsInjected,
-		Retries:          r.Retries,
-		Timeouts:         r.Timeouts,
-		StaleResponses:   r.StaleResponses,
-		DupsDropped:      r.DupsDropped,
-		DroppedPackets:   r.DroppedPackets,
-		CorruptedPackets: r.CorruptedPackets,
-		RouteDrops:       r.RouteDrops,
-		WatchdogTrips:    r.WatchdogTrips,
-		ForcedPauses:     r.ForcedPauses,
-		LinkDowns:        r.LinkDowns,
-
-		Ladder:         r.Ladder,
-		Retrains:       r.Retrains,
-		Promotions:     r.Promotions,
-		Rejections:     r.Rejections,
-		AdaptRecovered: r.AdaptRecovered,
-		AdaptRecoverMs: r.AdaptRecoverMs,
-
-		Ctrl: r.Ctrl,
-
-		Metrics: r.Metrics,
-	}
-}
-
-// Digest is the deterministic machine-readable core of a Result: the
+// Digest is the deterministic machine-readable form of a Result: the
 // summary plus the raw per-bucket series, which catch divergence the
-// aggregated digest would average away. The metrics snapshot is
-// excluded — it carries wall-clock profiling series, so it is reported
-// beside the digest (not inside it) by callers that need byte-stable
-// artifacts: the determinism matrix and the sweep orchestrator both
-// compare digests byte for byte.
+// aggregated summary would average away. The determinism matrix and the
+// sweep orchestrator compare digests byte for byte; the registry
+// snapshot, which carries wall-clock profiling series, is reported
+// beside the digest by the callers that keep one.
 type Digest struct {
 	Summary   Summary   `json:"summary"`
 	ReadGbps  []float64 `json:"read_gbps_series"`
@@ -630,28 +499,7 @@ type Digest struct {
 
 // Digest extracts the deterministic digest of the result.
 func (r *Result) Digest() Digest {
-	s := r.Summary()
-	s.Metrics = nil
-	return Digest{
-		Summary:   s,
-		ReadGbps:  r.ReadGbps,
-		WriteGbps: r.WriteGbps,
-		Pauses:    r.Pauses,
-	}
-}
-
-// WriteJSON writes the result summary as indented JSON.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Summary())
-}
-
-// WriteJSONFile writes the summary to path crash-safely (temp file +
-// atomic rename): an interrupt mid-write can never leave a truncated
-// JSON artifact at the destination.
-func (r *Result) WriteJSONFile(path string) error {
-	return atomicio.WriteFile(path, r.WriteJSON)
+	return Digest{Summary: r.Summary, ReadGbps: r.ReadGbps, WriteGbps: r.WriteGbps, Pauses: r.Pauses}
 }
 
 // CompareModes runs the same trace under DCQCN-only and DCQCN-SRC

@@ -162,7 +162,6 @@ func AdaptAging(tpm *core.TPM, requests int, seed uint64, mods ...func(*cluster.
 	d := tr.Duration()
 	spec := CongestionSpec()
 	spec.SRC.Adaptive = AdaptConfig(d)
-	spec.Horizon = 3*d + 200*sim.Millisecond
 
 	// Two aging windows per target — [d/8, d/4] at factor 6 and
 	// [d/8+d/3, d/4+d/3] at factor 9 — leaving a healthy gap between
@@ -244,7 +243,6 @@ func AdaptPhase(tpm *core.TPM, requests int, seed uint64, mods ...func(*cluster.
 	// blowing out. The scenario arms a tighter hard threshold to
 	// classify that sustained miscalibration as model breakdown.
 	spec.SRC.Adaptive.ErrHard = 0.45
-	spec.Horizon = 3*d + 200*sim.Millisecond
 	return runAdapt("adapt-phase", spec, tpm, tr, mods...)
 }
 
@@ -297,9 +295,9 @@ func AdaptFailover(tpm *core.TPM, requests int, seed uint64, mods ...func(*clust
 func FprintAdapt(w io.Writer, r *AdaptResult) {
 	fmt.Fprintf(w, "%s: chaos-adaptation scenario\n", r.Scenario)
 	fmt.Fprintf(w, "adaptive    read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps\n",
-		r.Adaptive.Summary.ReadGbps, r.Adaptive.Summary.WriteGbps, r.Adaptive.Summary.AggregatedGbps)
+		r.Adaptive.Summary.MeanReadGbps, r.Adaptive.Summary.MeanWriteGbps, r.Adaptive.Summary.AggregatedGbps)
 	fmt.Fprintf(w, "oracle      read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps\n",
-		r.Oracle.Summary.ReadGbps, r.Oracle.Summary.WriteGbps, r.Oracle.Summary.AggregatedGbps)
+		r.Oracle.Summary.MeanReadGbps, r.Oracle.Summary.MeanWriteGbps, r.Oracle.Summary.AggregatedGbps)
 	fmt.Fprintf(w, "retained %.1f%% of oracle | reached ModelFree: %v | recovered: %v",
 		r.RetainedPct, r.ReachedModelFree, r.Recovered)
 	if r.Recovered {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -65,11 +66,11 @@ func TestChaosSoakDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
+		b, err := json.Marshal(res.Summary)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {

@@ -66,7 +66,6 @@ func ctrlSpec(d sim.Time) cluster.Spec {
 	// throughput instead of silently coasting at the neutral 1:1.
 	// StaleAfter stays 0, so only the lease agents apply it.
 	spec.SRC.FallbackWeight = 8
-	spec.Horizon = 3*d + 200*sim.Millisecond
 	return spec
 }
 
@@ -281,10 +280,10 @@ func fprintCtrlLedger(w io.Writer, led *ctrlplane.Ledger) {
 func FprintCtrlDegradation(w io.Writer, r *CtrlDegradationResult) {
 	fmt.Fprintln(w, "ctrl-degradation: control-channel loss x delay sweep (DCQCN-SRC, in-band)")
 	fmt.Fprintf(w, "oracle (direct calls)        read %5.2f | write %5.2f | aggregated %5.2f Gbps\n",
-		r.Oracle.Summary.ReadGbps, r.Oracle.Summary.WriteGbps, r.Oracle.Summary.AggregatedGbps)
+		r.Oracle.Summary.MeanReadGbps, r.Oracle.Summary.MeanWriteGbps, r.Oracle.Summary.AggregatedGbps)
 	for _, c := range r.Cells {
 		fmt.Fprintf(w, "loss %4.2f delay %5.1fx  read %5.2f | agg %5.2f Gbps  retained %5.1f%%",
-			c.Loss, c.DelayX, c.Run.Summary.ReadGbps, c.Run.Summary.AggregatedGbps, c.RetainedPct)
+			c.Loss, c.DelayX, c.Run.Summary.MeanReadGbps, c.Run.Summary.AggregatedGbps, c.RetainedPct)
 		if led := c.Run.Summary.Ctrl; led != nil {
 			fmt.Fprintf(w, "  (dropped %d, retries %d, fallbacks %d)", led.Dropped, led.DirectiveRetries, led.Fallbacks)
 		}
@@ -296,9 +295,9 @@ func FprintCtrlDegradation(w io.Writer, r *CtrlDegradationResult) {
 func FprintCtrlFailover(w io.Writer, r *CtrlFailoverResult) {
 	fmt.Fprintln(w, "ctrl-failover: primary controller crash with warm standby (DCQCN-SRC, in-band)")
 	fmt.Fprintf(w, "in-band     read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps\n",
-		r.Run.Summary.ReadGbps, r.Run.Summary.WriteGbps, r.Run.Summary.AggregatedGbps)
+		r.Run.Summary.MeanReadGbps, r.Run.Summary.MeanWriteGbps, r.Run.Summary.AggregatedGbps)
 	fmt.Fprintf(w, "oracle      read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps\n",
-		r.Oracle.Summary.ReadGbps, r.Oracle.Summary.WriteGbps, r.Oracle.Summary.AggregatedGbps)
+		r.Oracle.Summary.MeanReadGbps, r.Oracle.Summary.MeanWriteGbps, r.Oracle.Summary.AggregatedGbps)
 	fmt.Fprintf(w, "retained %.1f%% of oracle | failed over: %v | primary fenced: %v",
 		r.RetainedPct, r.FailedOver, r.Fenced)
 	if r.FailedOver {

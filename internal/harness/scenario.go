@@ -90,10 +90,10 @@ func FprintScenario(w io.Writer, r *ScenarioResult) {
 			ph.Name, ph.Start.Millis(), ph.End.Millis(), ph.Requests, mode)
 	}
 	fmt.Fprintf(w, "%-11s read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps | retention %5.1f%%\n",
-		"DCQCN-only", r.Baseline.Summary.ReadGbps, r.Baseline.Summary.WriteGbps,
+		"DCQCN-only", r.Baseline.Summary.MeanReadGbps, r.Baseline.Summary.MeanWriteGbps,
 		r.Baseline.Summary.AggregatedGbps, r.RetentionOff*100)
 	fmt.Fprintf(w, "%-11s read %5.2f Gbps | write %5.2f Gbps | aggregated %5.2f Gbps | retention %5.1f%%\n",
-		"DCQCN-SRC", r.SRC.Summary.ReadGbps, r.SRC.Summary.WriteGbps,
+		"DCQCN-SRC", r.SRC.Summary.MeanReadGbps, r.SRC.Summary.MeanWriteGbps,
 		r.SRC.Summary.AggregatedGbps, r.RetentionOn*100)
 	fmt.Fprintf(w, "aggregate gain %+.0f%%\n", r.ImprovementPct)
 }
