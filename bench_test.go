@@ -14,6 +14,7 @@ import (
 	"srcsim/internal/core"
 	"srcsim/internal/devrun"
 	"srcsim/internal/harness"
+	"srcsim/internal/netsim"
 	"srcsim/internal/ssd"
 )
 
@@ -144,7 +145,7 @@ func BenchmarkFig7Throughput(b *testing.B) {
 	b.ResetTimer()
 	var hw heapHW
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Fig7Throughput(tpm, 800, uint64(7+i))
+		res, err := harness.Fig7Throughput(tpm, 800, uint64(7+i), netsim.CCDCQCN)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func BenchmarkFig8PauseNumber(b *testing.B) {
 	b.ResetTimer()
 	var hw heapHW
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Fig7Throughput(tpm, 800, uint64(17+i))
+		res, err := harness.Fig7Throughput(tpm, 800, uint64(17+i), netsim.CCDCQCN)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func BenchmarkFig10Intensity(b *testing.B) {
 	b.ResetTimer()
 	var hw heapHW
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig10Intensity(tpm, 0.04, uint64(13+i))
+		rows, err := harness.Fig10Intensity(tpm, 0.04, uint64(13+i), netsim.CCDCQCN)
 		if err != nil {
 			b.Fatal(err)
 		}

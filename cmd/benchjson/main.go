@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -150,9 +151,12 @@ func parse(in *os.File, out *os.File) error {
 
 // gates are the regression thresholds per benchmark: the hot-path
 // experiments that the event-engine optimization must keep fast.
+// allocs/op is near-deterministic (repeat runs differ by a few
+// allocations in 60k), so its bound is tight; ns/op carries machine
+// noise and keeps a wide one.
 var gates = map[string]struct{ maxNsGrowth, maxAllocGrowth float64 }{
-	"BenchmarkFig7Throughput":  {maxNsGrowth: 0.30, maxAllocGrowth: 0.20},
-	"BenchmarkFig5WeightSweep": {maxNsGrowth: 0.30, maxAllocGrowth: 0.20},
+	"BenchmarkFig7Throughput":  {maxNsGrowth: 0.30, maxAllocGrowth: 0.02},
+	"BenchmarkFig5WeightSweep": {maxNsGrowth: 0.30, maxAllocGrowth: 0.02},
 }
 
 func load(path string) (*File, error) {
@@ -173,7 +177,7 @@ func load(path string) (*File, error) {
 // compare prints a delta table for every benchmark present in both
 // files and returns false when a gated benchmark regresses beyond its
 // thresholds.
-func compare(basePath, newPath string, out *os.File) (bool, error) {
+func compare(basePath, newPath string, out io.Writer) (bool, error) {
 	base, err := load(basePath)
 	if err != nil {
 		return false, err

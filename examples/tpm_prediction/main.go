@@ -43,13 +43,7 @@ func main() {
 	}
 
 	fmt.Println("estimator accuracy (R², 60/40 split):")
-	for _, factory := range []func() ml.Regressor{
-		func() ml.Regressor { return &ml.LinearRegression{} },
-		func() ml.Regressor { return &ml.PolynomialRegression{} },
-		func() ml.Regressor { return &ml.KNNRegressor{K: 5} },
-		func() ml.Regressor { return &ml.DecisionTreeRegressor{} },
-		func() ml.Regressor { return &ml.RandomForestRegressor{Trees: 100, Seed: 1} },
-	} {
+	for _, factory := range ml.TableIRegressors(1) {
 		tpm := &core.TPM{NewRegressor: factory}
 		if err := tpm.Train(train); err != nil {
 			log.Fatal(err)

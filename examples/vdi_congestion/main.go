@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"srcsim/internal/harness"
+	"srcsim/internal/netsim"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := harness.Fig7Throughput(tpm, 2000, 7)
+	res, err := harness.Fig7Throughput(tpm, 2000, 7, netsim.CCDCQCN)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package dist provides the random-variate samplers used by the workload
 // generators: memoryless (exponential) draws for the paper's "micro"
-// traces, heavy-tailed and empirical alternatives, and a two-phase
+// traces, log-normal request sizes, and a two-phase
 // Markov-modulated Poisson process (MMPP) with a KPC-Toolbox-style
 // moment-matching fit for the paper's "synthetic" traces (Sec. IV-A).
 package dist
@@ -8,7 +8,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"srcsim/internal/sim"
 )
@@ -61,26 +60,6 @@ func (c Constant) Sample() float64 { return c.V }
 // Mean implements Sampler.
 func (c Constant) Mean() float64 { return c.V }
 
-// Uniform samples uniformly from [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-	rng    *sim.RNG
-}
-
-// NewUniform returns a uniform sampler on [lo, hi).
-func NewUniform(lo, hi float64, rng *sim.RNG) *Uniform {
-	if hi <= lo {
-		panic(fmt.Sprintf("dist: uniform range [%v,%v) empty", lo, hi))
-	}
-	return &Uniform{Lo: lo, Hi: hi, rng: rng}
-}
-
-// Sample implements Sampler.
-func (u *Uniform) Sample() float64 { return u.Lo + (u.Hi-u.Lo)*u.rng.Float64() }
-
-// Mean implements Sampler.
-func (u *Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // LogNormal samples a log-normal with the given (linear-space) mean and
 // squared coefficient of variation; request-size distributions in block
 // traces are commonly log-normal-like.
@@ -105,77 +84,3 @@ func (l *LogNormal) Sample() float64 { return math.Exp(l.rng.Norm(l.mu, l.sigma)
 
 // Mean implements Sampler.
 func (l *LogNormal) Mean() float64 { return l.mean }
-
-// BoundedPareto samples a Pareto truncated to [Lo, Hi] with shape Alpha;
-// a standard model for heavy-tailed request sizes.
-type BoundedPareto struct {
-	Lo, Hi, Alpha float64
-	rng           *sim.RNG
-}
-
-// NewBoundedPareto returns a bounded Pareto sampler.
-func NewBoundedPareto(lo, hi, alpha float64, rng *sim.RNG) *BoundedPareto {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic(fmt.Sprintf("dist: bounded pareto params lo=%v hi=%v alpha=%v invalid", lo, hi, alpha))
-	}
-	return &BoundedPareto{Lo: lo, Hi: hi, Alpha: alpha, rng: rng}
-}
-
-// Sample implements Sampler (inverse-CDF method).
-func (p *BoundedPareto) Sample() float64 {
-	u := p.rng.Float64()
-	la := math.Pow(p.Lo, p.Alpha)
-	ha := math.Pow(p.Hi, p.Alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
-}
-
-// Mean implements Sampler.
-func (p *BoundedPareto) Mean() float64 {
-	a := p.Alpha
-	if a == 1 {
-		return p.Lo * p.Hi / (p.Hi - p.Lo) * math.Log(p.Hi/p.Lo)
-	}
-	la := math.Pow(p.Lo, a)
-	return la / (1 - math.Pow(p.Lo/p.Hi, a)) * a / (a - 1) *
-		(1/math.Pow(p.Lo, a-1) - 1/math.Pow(p.Hi, a-1))
-}
-
-// Empirical samples with replacement from observed values; used to replay
-// the marginal distribution of an existing trace.
-type Empirical struct {
-	values []float64
-	mean   float64
-	rng    *sim.RNG
-}
-
-// NewEmpirical returns a sampler over a copy of values.
-func NewEmpirical(values []float64, rng *sim.RNG) *Empirical {
-	if len(values) == 0 {
-		panic("dist: empirical sampler needs at least one value")
-	}
-	cp := append([]float64(nil), values...)
-	var s float64
-	for _, v := range cp {
-		s += v
-	}
-	return &Empirical{values: cp, mean: s / float64(len(cp)), rng: rng}
-}
-
-// Sample implements Sampler.
-func (e *Empirical) Sample() float64 { return e.values[e.rng.Intn(len(e.values))] }
-
-// Mean implements Sampler.
-func (e *Empirical) Mean() float64 { return e.mean }
-
-// Quantile returns the q-th (0..1) quantile of the empirical data.
-func (e *Empirical) Quantile(q float64) float64 {
-	sorted := append([]float64(nil), e.values...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[int(q*float64(len(sorted)))]
-}

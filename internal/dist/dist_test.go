@@ -53,20 +53,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	u := NewUniform(10, 20, sim.NewRNG(2))
-	m := sampleMoments(u, 100000)
-	if math.Abs(m.Mean()-15) > 0.1 {
-		t.Fatalf("uniform mean = %v, want ~15", m.Mean())
-	}
-	if m.Min() < 10 || m.Max() >= 20 {
-		t.Fatalf("uniform range violated: [%v, %v]", m.Min(), m.Max())
-	}
-	if u.Mean() != 15 {
-		t.Fatal("Mean()")
-	}
-}
-
 func TestLogNormalMoments(t *testing.T) {
 	for _, scv := range []float64{0.25, 1, 4} {
 		l := NewLogNormal(100, scv, sim.NewRNG(3))
@@ -80,50 +66,11 @@ func TestLogNormalMoments(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoRangeAndMean(t *testing.T) {
-	p := NewBoundedPareto(4, 4096, 1.3, sim.NewRNG(4))
-	m := sampleMoments(p, 200000)
-	if m.Min() < 4 || m.Max() > 4096 {
-		t.Fatalf("pareto out of bounds: [%v, %v]", m.Min(), m.Max())
-	}
-	if math.Abs(m.Mean()-p.Mean())/p.Mean() > 0.05 {
-		t.Fatalf("pareto mean = %v, analytic %v", m.Mean(), p.Mean())
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	vals := []float64{1, 2, 3, 4}
-	e := NewEmpirical(vals, sim.NewRNG(5))
-	if e.Mean() != 2.5 {
-		t.Fatalf("empirical mean = %v", e.Mean())
-	}
-	seen := map[float64]bool{}
-	for i := 0; i < 1000; i++ {
-		v := e.Sample()
-		seen[v] = true
-		if v < 1 || v > 4 {
-			t.Fatalf("sample %v outside source values", v)
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("not all source values drawn: %v", seen)
-	}
-	if e.Quantile(0) != 1 || e.Quantile(1) != 4 {
-		t.Fatal("quantile endpoints")
-	}
-	// Mutating the input must not affect the sampler.
-	vals[0] = 1000
-	if e.Quantile(0) != 1 {
-		t.Fatal("empirical sampler aliases caller slice")
-	}
-}
-
 func TestSamplersAlwaysPositive(t *testing.T) {
 	rng := sim.NewRNG(6)
 	samplers := []Sampler{
 		NewExponential(5, rng),
 		NewLogNormal(5, 2, rng),
-		NewBoundedPareto(1, 100, 1.5, rng),
 		NewMMPP2(1, 0.1, 0.01, 0.01, rng),
 	}
 	for _, s := range samplers {

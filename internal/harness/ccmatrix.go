@@ -41,7 +41,7 @@ func CCMatrix(tpm *core.TPM, perDir int, seed uint64, schemes []string, mods ...
 		if err != nil {
 			return nil, err
 		}
-		pair, err := Fig7ThroughputCC(tpm, perDir, seed, cc, mods...)
+		pair, err := Fig7Throughput(tpm, perDir, seed, cc, mods...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: cc-matrix %s: %w", name, err)
 		}

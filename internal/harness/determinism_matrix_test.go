@@ -111,7 +111,7 @@ func matrixSuite(t *testing.T, tpmCong, tpm9 *core.TPM, record bool) map[string]
 	}
 	put("regressor-probe", accs)
 
-	res7, err := Fig7Throughput(tpmCong, 250, 7, mods...)
+	res7, err := Fig7Throughput(tpmCong, 250, 7, netsim.CCDCQCN, mods...)
 	if err != nil {
 		t.Fatalf("fig7: %v", err)
 	}
@@ -125,7 +125,7 @@ func matrixSuite(t *testing.T, tpmCong, tpm9 *core.TPM, record bool) map[string]
 		name string
 		alg  netsim.CCAlg
 	}{{"fig7-aimd", netsim.CCAIMD}, {"fig7-hpcc", netsim.CCHPCC}, {"fig7-pfc", netsim.CCPFC}} {
-		resCC, err := Fig7ThroughputCC(tpmCong, 150, 7, cc.alg, mods...)
+		resCC, err := Fig7Throughput(tpmCong, 150, 7, cc.alg, mods...)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)
 		}
@@ -142,7 +142,7 @@ func matrixSuite(t *testing.T, tpmCong, tpm9 *core.TPM, record bool) map[string]
 	}
 	put("fig9", res9)
 
-	rows10, err := Fig10Intensity(tpmCong, 0.02, 13, mods...)
+	rows10, err := Fig10Intensity(tpmCong, 0.02, 13, netsim.CCDCQCN, mods...)
 	if err != nil {
 		t.Fatalf("fig10: %v", err)
 	}

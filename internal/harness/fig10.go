@@ -50,19 +50,13 @@ func Fig10Trace(level workload.IntensityLevel, seconds float64, seed uint64) (*t
 	})
 }
 
-// Fig10Intensity reproduces Fig. 10: DCQCN-only versus DCQCN-SRC across
+// Fig10Intensity reproduces Fig. 10: CC-only versus CC-SRC across
 // light, moderate, and heavy micro workloads on the Sec. IV-D testbed.
 // The expected shape: no visible difference under light load (queues are
 // empty so WRR cannot act) and a clear SRC write/aggregate win under
-// moderate and heavy load.
-func Fig10Intensity(tpm *core.TPM, seconds float64, seed uint64, mods ...func(*cluster.Spec)) ([]Fig10Row, error) {
-	return Fig10IntensityCC(tpm, seconds, seed, netsim.CCDCQCN, mods...)
-}
-
-// Fig10IntensityCC is Fig10Intensity under a chosen congestion-control
-// algorithm — like Fig7ThroughputCC, SRC consumes only rate events, so
-// the intensity sweep runs unchanged over any registered scheme.
-func Fig10IntensityCC(tpm *core.TPM, seconds float64, seed uint64, cc netsim.CCAlg, mods ...func(*cluster.Spec)) ([]Fig10Row, error) {
+// moderate and heavy load. The paper runs DCQCN; like Fig7Throughput,
+// the sweep runs unchanged over any registered scheme.
+func Fig10Intensity(tpm *core.TPM, seconds float64, seed uint64, cc netsim.CCAlg, mods ...func(*cluster.Spec)) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, level := range []workload.IntensityLevel{workload.Light, workload.Moderate, workload.Heavy} {
 		tr, err := Fig10Trace(level, seconds, seed+uint64(level))

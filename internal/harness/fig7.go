@@ -26,19 +26,14 @@ func (c *CongestionResult) Improvement() float64 {
 }
 
 // Fig7Throughput reproduces Figs. 7 and 8: the Sec. IV-D VDI-like
-// workload on 1 initiator × 2 SSD-A targets, run under DCQCN-only and
-// DCQCN-SRC. The result carries the per-millisecond read/write
-// throughput series (Fig. 7) and pause-number series (Fig. 8). perDir is
-// the write-request count (reads get 2×).
-func Fig7Throughput(tpm *core.TPM, perDir int, seed uint64, mods ...func(*cluster.Spec)) (*CongestionResult, error) {
-	return Fig7ThroughputCC(tpm, perDir, seed, netsim.CCDCQCN, mods...)
-}
-
-// Fig7ThroughputCC is Fig7Throughput under a chosen congestion-control
-// algorithm — SRC consumes only rate events, so the same experiment runs
-// unchanged over TIMELY (an extension beyond the paper). Optional mods
-// adjust each run's spec (e.g. attach a metrics registry or tracer).
-func Fig7ThroughputCC(tpm *core.TPM, perDir int, seed uint64, cc netsim.CCAlg, mods ...func(*cluster.Spec)) (*CongestionResult, error) {
+// workload on 1 initiator × 2 SSD-A targets, run under CC-only and
+// CC-SRC. The result carries the per-millisecond read/write throughput
+// series (Fig. 7) and pause-number series (Fig. 8). perDir is the
+// write-request count (reads get 2×). The paper runs DCQCN; SRC consumes
+// only rate events, so the same experiment runs unchanged over any
+// registered scheme (an extension beyond the paper). Optional mods adjust
+// each run's spec (e.g. attach a metrics registry or tracer).
+func Fig7Throughput(tpm *core.TPM, perDir int, seed uint64, cc netsim.CCAlg, mods ...func(*cluster.Spec)) (*CongestionResult, error) {
 	tr, err := VDITrace(seed, perDir)
 	if err != nil {
 		return nil, err

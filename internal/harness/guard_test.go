@@ -8,6 +8,7 @@ import (
 
 	"srcsim/internal/cluster"
 	"srcsim/internal/guard"
+	"srcsim/internal/netsim"
 )
 
 // TestHangSoakTripsWatchdog is the watchdog acceptance demo: both
@@ -135,7 +136,7 @@ func TestFig7TruncatedEmitsValidJSON(t *testing.T) {
 	tpm, _ := testTPMs(t)
 	st := guard.NewStopper()
 	st.Stop("signal: interrupt")
-	res, err := Fig7Throughput(tpm, 200, 7, func(s *cluster.Spec) {
+	res, err := Fig7Throughput(tpm, 200, 7, netsim.CCDCQCN, func(s *cluster.Spec) {
 		s.Guard.Stop = st
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"srcsim/internal/core"
 	"srcsim/internal/devrun"
+	"srcsim/internal/netsim"
 	"srcsim/internal/sim"
 	"srcsim/internal/ssd"
 	"srcsim/internal/workload"
@@ -178,7 +179,7 @@ func TestFig7SRCBeatsBaseline(t *testing.T) {
 		t.Skip("full-scale Fig. 7 A/B run; skipped with -short")
 	}
 	tpm, _ := testTPMs(t)
-	res, err := Fig7Throughput(tpm, 1200, 7)
+	res, err := Fig7Throughput(tpm, 1200, 7, netsim.CCDCQCN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestFig10LightIsNeutralHeavyGains(t *testing.T) {
 		t.Skip("three full intensity A/B runs; skipped with -short")
 	}
 	tpm, _ := testTPMs(t)
-	rows, err := Fig10Intensity(tpm, 0.06, 13)
+	rows, err := Fig10Intensity(tpm, 0.06, 13, netsim.CCDCQCN)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"srcsim/internal/cluster"
+	"srcsim/internal/netsim"
 	"srcsim/internal/obs/timeseries"
 	"srcsim/internal/sim"
 )
@@ -31,7 +32,7 @@ func TestFlightRecorderFig7(t *testing.T) {
 		return b
 	}
 
-	plain, err := Fig7Throughput(tpmCong, 250, 7)
+	plain, err := Fig7Throughput(tpmCong, 250, 7, netsim.CCDCQCN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestFlightRecorderFig7(t *testing.T) {
 		// One recorder shared across both CompareModes runs: tracks are
 		// mode-prefixed, so the two runs' timelines stay distinct.
 		rec := timeseries.New(10*sim.Microsecond, 1<<14)
-		res, err := Fig7Throughput(tpmCong, 250, 7, func(s *cluster.Spec) {
+		res, err := Fig7Throughput(tpmCong, 250, 7, netsim.CCDCQCN, func(s *cluster.Spec) {
 			s.Recorder = rec
 		})
 		if err != nil {

@@ -208,10 +208,6 @@ func register(e *Experiment) {
 	experiments = append(experiments, e)
 }
 
-// Experiments returns the registered experiments in listing order. The
-// returned slice is shared; do not mutate it.
-func Experiments() []*Experiment { return experiments }
-
 // LookupExperiment finds a registered experiment by name.
 func LookupExperiment(name string) (*Experiment, bool) {
 	for _, e := range experiments {
@@ -375,7 +371,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			res, err := Fig7ThroughputCC(tpm, requests, seed, cc, env.Mods...)
+			res, err := Fig7Throughput(tpm, requests, seed, cc, env.Mods...)
 			if err != nil {
 				return nil, err
 			}
@@ -443,7 +439,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rows, err := Fig10IntensityCC(tpm, seconds, seed, cc, env.Mods...)
+			rows, err := Fig10Intensity(tpm, seconds, seed, cc, env.Mods...)
 			if err != nil {
 				return nil, err
 			}

@@ -42,15 +42,8 @@ func TableI(cfg ssd.Config, count int, seed uint64) ([]TableIRow, error) {
 	train := gather(samples, trainIdx)
 	test := gather(samples, testIdx)
 
-	factories := []func() ml.Regressor{
-		func() ml.Regressor { return &ml.LinearRegression{} },
-		func() ml.Regressor { return &ml.PolynomialRegression{} },
-		func() ml.Regressor { return &ml.KNNRegressor{K: 5} },
-		func() ml.Regressor { return &ml.DecisionTreeRegressor{Seed: seed} },
-		func() ml.Regressor { return &ml.RandomForestRegressor{Trees: 100, Seed: seed} },
-	}
 	var rows []TableIRow
-	for _, factory := range factories {
+	for _, factory := range ml.TableIRegressors(seed) {
 		tpm := &core.TPM{NewRegressor: factory}
 		if err := tpm.Train(train); err != nil {
 			return nil, fmt.Errorf("harness: TableI %s: %w", factory().Name(), err)

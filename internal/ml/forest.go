@@ -153,15 +153,15 @@ func (f *RandomForestRegressor) FeatureImportances() []float64 {
 	return out
 }
 
-// TableIRegressors returns fresh instances of the paper's five Table I
+// TableIRegressors returns constructors for the paper's five Table I
 // estimators, in the table's row order. seed makes stochastic estimators
 // deterministic.
-func TableIRegressors(seed uint64) []Regressor {
-	return []Regressor{
-		&LinearRegression{},
-		&PolynomialRegression{},
-		&KNNRegressor{K: 5},
-		&DecisionTreeRegressor{Seed: seed},
-		&RandomForestRegressor{Trees: 100, Seed: seed},
+func TableIRegressors(seed uint64) []func() Regressor {
+	return []func() Regressor{
+		func() Regressor { return &LinearRegression{} },
+		func() Regressor { return &PolynomialRegression{} },
+		func() Regressor { return &KNNRegressor{K: 5} },
+		func() Regressor { return &DecisionTreeRegressor{Seed: seed} },
+		func() Regressor { return &RandomForestRegressor{Trees: 100, Seed: seed} },
 	}
 }

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"srcsim/internal/sim"
@@ -37,31 +36,6 @@ func R2(y, yhat []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// MSE returns the mean squared error.
-func MSE(y, yhat []float64) float64 {
-	if len(y) != len(yhat) || len(y) == 0 {
-		panic(fmt.Sprintf("ml: MSE length mismatch %d vs %d", len(y), len(yhat)))
-	}
-	var s float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		s += d * d
-	}
-	return s / float64(len(y))
-}
-
-// MAE returns the mean absolute error.
-func MAE(y, yhat []float64) float64 {
-	if len(y) != len(yhat) || len(y) == 0 {
-		panic(fmt.Sprintf("ml: MAE length mismatch %d vs %d", len(y), len(yhat)))
-	}
-	var s float64
-	for i := range y {
-		s += math.Abs(y[i] - yhat[i])
-	}
-	return s / float64(len(y))
-}
-
 // PredictAll applies a fitted regressor to every row of X.
 func PredictAll(r Regressor, X [][]float64) []float64 {
 	out := make([]float64, len(X))
@@ -91,85 +65,6 @@ func TrainTestSplit(n int, trainFrac float64, rng *sim.RNG) (train, test []int) 
 		k = n - 1
 	}
 	return perm[:k], perm[k:]
-}
-
-// Gather selects the given rows of X and y.
-func Gather(X [][]float64, y []float64, idx []int) ([][]float64, []float64) {
-	gx := make([][]float64, len(idx))
-	gy := make([]float64, len(idx))
-	for i, ix := range idx {
-		gx[i] = X[ix]
-		gy[i] = y[ix]
-	}
-	return gx, gy
-}
-
-// KFold returns k (train, test) index partitions after a shuffle. Every
-// sample appears in exactly one test fold.
-func KFold(n, k int, rng *sim.RNG) (trains, tests [][]int) {
-	if k < 2 || k > n {
-		panic(fmt.Sprintf("ml: KFold k=%d invalid for n=%d", k, n))
-	}
-	perm := rng.Perm(n)
-	folds := make([][]int, k)
-	for i, p := range perm {
-		folds[i%k] = append(folds[i%k], p)
-	}
-	for i := 0; i < k; i++ {
-		var train []int
-		for j := 0; j < k; j++ {
-			if j != i {
-				train = append(train, folds[j]...)
-			}
-		}
-		trains = append(trains, train)
-		tests = append(tests, folds[i])
-	}
-	return trains, tests
-}
-
-// CrossValidateR2 runs k-fold cross validation, fitting a fresh regressor
-// from factory per fold, and returns the mean test R².
-func CrossValidateR2(factory func() Regressor, X [][]float64, y []float64, k int, rng *sim.RNG) (float64, error) {
-	trains, tests := KFold(len(X), k, rng)
-	var sum float64
-	for i := range trains {
-		reg := factory()
-		tx, ty := Gather(X, y, trains[i])
-		if err := reg.Fit(tx, ty); err != nil {
-			return 0, fmt.Errorf("ml: fold %d fit: %w", i, err)
-		}
-		vx, vy := Gather(X, y, tests[i])
-		sum += R2(vy, PredictAll(reg, vx))
-	}
-	return sum / float64(len(trains)), nil
-}
-
-// GroupedHoldOutR2 implements the paper's Table III protocol: hold out
-// every sample whose group equals holdGroup for validation and train on
-// everything else. It returns the validation R².
-func GroupedHoldOutR2(factory func() Regressor, X [][]float64, y []float64, groups []int, holdGroup int) (float64, error) {
-	if len(groups) != len(X) {
-		return 0, fmt.Errorf("ml: %d group labels for %d samples", len(groups), len(X))
-	}
-	var trainIdx, testIdx []int
-	for i, g := range groups {
-		if g == holdGroup {
-			testIdx = append(testIdx, i)
-		} else {
-			trainIdx = append(trainIdx, i)
-		}
-	}
-	if len(testIdx) == 0 || len(trainIdx) == 0 {
-		return 0, fmt.Errorf("ml: group %d leaves train=%d test=%d", holdGroup, len(trainIdx), len(testIdx))
-	}
-	reg := factory()
-	tx, ty := Gather(X, y, trainIdx)
-	if err := reg.Fit(tx, ty); err != nil {
-		return 0, err
-	}
-	vx, vy := Gather(X, y, testIdx)
-	return R2(vy, PredictAll(reg, vx)), nil
 }
 
 // RankFeatures returns feature indices sorted by descending importance.

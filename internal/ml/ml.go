@@ -2,8 +2,8 @@
 // implementing exactly the estimators the paper compares in Table I:
 // linear regression, polynomial regression, k-nearest-neighbour
 // regression, decision-tree (CART) regression, and random-forest
-// regression, together with R² scoring, k-fold and grouped
-// cross-validation, and Breiman impurity-based feature importance.
+// regression, together with R² scoring, a train/test split, and
+// Breiman impurity-based feature importance.
 //
 // All estimators implement Regressor. Inputs are dense [][]float64
 // feature matrices; rows are samples. Estimators copy what they need, so
@@ -57,21 +57,6 @@ func checkXY(X [][]float64, y []float64) (n, d int, err error) {
 		}
 	}
 	return n, d, nil
-}
-
-// cloneMatrix deep-copies X into one contiguous allocation.
-func cloneMatrix(X [][]float64) [][]float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	d := len(X[0])
-	out := make([][]float64, len(X))
-	flat := make([]float64, len(X)*d)
-	for i, row := range X {
-		copy(flat[i*d:(i+1)*d], row)
-		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	return out
 }
 
 // Standardizer rescales features to zero mean and unit variance, the

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -54,18 +56,6 @@ func TestCheckXYErrors(t *testing.T) {
 	}
 }
 
-func TestCloneMatrix(t *testing.T) {
-	X := [][]float64{{1, 2}, {3, 4}}
-	c := cloneMatrix(X)
-	c[0][0] = 99
-	if X[0][0] != 1 {
-		t.Fatal("cloneMatrix aliases input")
-	}
-	if cloneMatrix(nil) != nil {
-		t.Fatal("nil clone")
-	}
-}
-
 func TestStandardizer(t *testing.T) {
 	X := [][]float64{{1, 100, 5}, {3, 100, 5}, {5, 100, 5}}
 	s := FitStandardizer(X)
@@ -105,22 +95,10 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestMSEAndMAE(t *testing.T) {
-	y := []float64{0, 0}
-	yhat := []float64{3, -3}
-	if MSE(y, yhat) != 9 {
-		t.Fatalf("MSE = %v", MSE(y, yhat))
-	}
-	if MAE(y, yhat) != 3 {
-		t.Fatalf("MAE = %v", MAE(y, yhat))
-	}
-}
-
 func TestMetricsPanicOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"R2":  func() { R2([]float64{1}, []float64{1, 2}) },
-		"MSE": func() { MSE(nil, nil) },
-		"MAE": func() { MAE([]float64{1}, nil) },
+		"R2 length":    func() { R2([]float64{1}, []float64{1, 2}) },
+		"R2 no values": func() { R2(nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -366,6 +344,55 @@ func TestForestFeatureImportances(t *testing.T) {
 	}
 }
 
+// The forest round-trips through gob by way of MarshalBinary and
+// UnmarshalBinary, the path core.TPM.Save and LoadTPM take.
+func TestForestSaveLoadRoundTrip(t *testing.T) {
+	X, y := synthDataset(800, 41)
+	rf := &RandomForestRegressor{Trees: 25, Seed: 9}
+	if err := rf.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rf); err != nil {
+		t.Fatal(err)
+	}
+	back := &RandomForestRegressor{}
+	if err := gob.NewDecoder(&buf).Decode(back); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if got, want := back.Predict(X[i]), rf.Predict(X[i]); got != want {
+			t.Fatalf("prediction %d changed after round trip: %v vs %v", i, got, want)
+		}
+	}
+	// Breiman importances must survive serialization bit-exactly: the
+	// TPM artifact cache hands reloaded models to the importance report.
+	imp, impBack := rf.FeatureImportances(), back.FeatureImportances()
+	if len(impBack) != len(imp) {
+		t.Fatalf("importance length changed: %d vs %d", len(impBack), len(imp))
+	}
+	var total float64
+	for i := range imp {
+		if imp[i] != impBack[i] {
+			t.Fatalf("importance %d changed after round trip: %v vs %v", i, impBack[i], imp[i])
+		}
+		total += impBack[i]
+	}
+	if total == 0 {
+		t.Fatal("round-tripped importances are all zero")
+	}
+}
+
+func TestForestSaveBeforeFitErrors(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&RandomForestRegressor{}); err == nil {
+		t.Fatal("encoding before Fit should error")
+	}
+	if err := (&RandomForestRegressor{}).UnmarshalBinary([]byte("garbage")); err == nil {
+		t.Fatal("garbage decode should error")
+	}
+}
+
 func TestTrainTestSplit(t *testing.T) {
 	rng := sim.NewRNG(1)
 	train, test := TrainTestSplit(100, 0.6, rng)
@@ -406,64 +433,6 @@ func TestTrainTestSplitEdges(t *testing.T) {
 	}
 }
 
-func TestKFoldPartition(t *testing.T) {
-	rng := sim.NewRNG(2)
-	trains, tests := KFold(25, 4, rng)
-	if len(trains) != 4 || len(tests) != 4 {
-		t.Fatal("fold count")
-	}
-	seen := map[int]int{}
-	for f := range tests {
-		for _, i := range tests[f] {
-			seen[i]++
-		}
-		if len(trains[f])+len(tests[f]) != 25 {
-			t.Fatalf("fold %d sizes %d+%d", f, len(trains[f]), len(tests[f]))
-		}
-	}
-	if len(seen) != 25 {
-		t.Fatalf("test folds cover %d samples", len(seen))
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("sample %d in %d test folds", i, c)
-		}
-	}
-}
-
-func TestCrossValidateR2(t *testing.T) {
-	X, y := linearDataset(200, 11)
-	r2, err := CrossValidateR2(func() Regressor { return &LinearRegression{} }, X, y, 5, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 < 0.999 {
-		t.Fatalf("CV R2 = %v on linear data", r2)
-	}
-}
-
-func TestGroupedHoldOutR2(t *testing.T) {
-	X, y := linearDataset(300, 12)
-	groups := make([]int, len(X))
-	for i := range groups {
-		groups[i] = i % 3
-	}
-	r2, err := GroupedHoldOutR2(func() Regressor { return &LinearRegression{} }, X, y, groups, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 < 0.999 {
-		t.Fatalf("grouped hold-out R2 = %v", r2)
-	}
-	// Missing group errors.
-	if _, err := GroupedHoldOutR2(func() Regressor { return &LinearRegression{} }, X, y, groups, 99); err == nil {
-		t.Fatal("absent group should error")
-	}
-	if _, err := GroupedHoldOutR2(func() Regressor { return &LinearRegression{} }, X, y, groups[:10], 1); err == nil {
-		t.Fatal("label length mismatch should error")
-	}
-}
-
 func TestTableIRegressorsRoster(t *testing.T) {
 	regs := TableIRegressors(1)
 	want := []string{
@@ -476,9 +445,9 @@ func TestTableIRegressorsRoster(t *testing.T) {
 	if len(regs) != len(want) {
 		t.Fatalf("%d regressors", len(regs))
 	}
-	for i, r := range regs {
-		if r.Name() != want[i] {
-			t.Fatalf("row %d = %q, want %q", i, r.Name(), want[i])
+	for i, factory := range regs {
+		if name := factory().Name(); name != want[i] {
+			t.Fatalf("row %d = %q, want %q", i, name, want[i])
 		}
 	}
 }
@@ -490,7 +459,8 @@ func TestTableIOrderingOnNonlinearData(t *testing.T) {
 	X, y := synthDataset(1200, 13)
 	Xtest, ytest := synthDataset(400, 14)
 	scores := map[string]float64{}
-	for _, r := range TableIRegressors(5) {
+	for _, factory := range TableIRegressors(5) {
+		r := factory()
 		if err := r.Fit(X, y); err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}

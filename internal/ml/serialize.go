@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -152,18 +151,4 @@ func (f *RandomForestRegressor) UnmarshalBinary(data []byte) error {
 	}
 	f.fitted = true
 	return nil
-}
-
-// Save writes the fitted forest to w.
-func (f *RandomForestRegressor) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(f)
-}
-
-// LoadForest reads a forest previously written by Save.
-func LoadForest(r io.Reader) (*RandomForestRegressor, error) {
-	f := &RandomForestRegressor{}
-	if err := gob.NewDecoder(r).Decode(f); err != nil {
-		return nil, fmt.Errorf("ml: decode forest: %w", err)
-	}
-	return f, nil
 }

@@ -208,9 +208,6 @@ func (n *Network) freePkt(pkt *Packet) {
 	}
 }
 
-// Engine returns the event engine.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
 // chaos returns the loss RNG, creating it from the fabric seed on first
 // use. Kept separate from the ECN stream so enabling faults never
 // perturbs marking decisions of the fault-free portions of a run.
@@ -300,9 +297,6 @@ type Port struct {
 
 // Peer returns the other end of this port's link.
 func (p *Port) Peer() *Port { return p.peer }
-
-// Down reports whether the link this port belongs to is failed.
-func (p *Port) Down() bool { return p.down }
 
 // SetLoss sets this egress direction's per-packet drop and corruption
 // probabilities, breaking the fabric's lossless assumption (fault

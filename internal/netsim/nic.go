@@ -45,9 +45,6 @@ func newHostNIC(node *Node) *HostNIC {
 	return &HostNIC{node: node}
 }
 
-// Node returns the owning host node.
-func (nic *HostNIC) Node() *Node { return nic.node }
-
 // Flow is a unidirectional RDMA-like data stream between two hosts with
 // its own DCQCN state. Messages sent on a flow are segmented into MTU
 // packets, paced at the RP's current rate, and delivered in order.

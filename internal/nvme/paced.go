@@ -70,9 +70,6 @@ func (p *Paced) SetReadRate(bps float64) {
 	p.scheduleWake()
 }
 
-// ReadRate returns the current budget (0 = unlimited).
-func (p *Paced) ReadRate() float64 { return p.readBps }
-
 func (p *Paced) refill() {
 	now := p.eng.Now()
 	if p.readBps > 0 {
@@ -178,9 +175,4 @@ func (p *Paced) PendingByOp() (int, int) { return p.reads.Len(), p.writes.Len() 
 // String summarises the pacing state.
 func (p *Paced) String() string {
 	return fmt.Sprintf("Paced(readBps=%.3g, pendingR=%d, pendingW=%d)", p.readBps, p.reads.Len(), p.writes.Len())
-}
-
-// DebugState exposes internals for diagnostics.
-func (p *Paced) DebugState() (tokens float64, lastRefill sim.Time, wakeArmed, hasKicker bool) {
-	return p.tokens, p.lastRefill, !p.wake.Cancelled(), p.Kicker != nil
 }

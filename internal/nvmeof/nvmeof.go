@@ -327,15 +327,6 @@ func (t *Target) SetCreditTimeout(d sim.Time) { t.creditTimeout = d }
 // TXQCredit returns the remaining in-flight read-data budget.
 func (t *Target) TXQCredit() int64 { return t.txqCredit }
 
-// TXQCreditLow returns the smallest credit balance ever reached — 0 (or
-// below, for oversize admissions) means the TXQ filled and device
-// completions were parking.
-func (t *Target) TXQCreditLow() int64 { return t.txqCreditLow }
-
-// InFlight returns the number of commands currently between arrival and
-// device completion on this target.
-func (t *Target) InFlight() int { return len(t.inflight) }
-
 // Instrument registers the target's state with a metrics registry:
 // served/duplicate counters, the TXQ credit low-water mark and end-of-run
 // backlog (the paper's Sec. II-B degradation site), and, recorder-only,

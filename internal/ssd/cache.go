@@ -166,7 +166,3 @@ func (p *slotPool) Release() {
 	}
 	p.used--
 }
-
-// InUse returns occupied slots; Waiting returns queued acquisitions.
-func (p *slotPool) InUse() int   { return p.used }
-func (p *slotPool) Waiting() int { return len(p.waiters) - p.whead }

@@ -116,9 +116,6 @@ func (d *Device) Outstanding() int { return d.outstanding }
 // CMTHitRate returns the mapping-cache hit rate so far.
 func (d *Device) CMTHitRate() float64 { return d.cmt.HitRate() }
 
-// WriteCacheInUse returns occupied write-cache slots.
-func (d *Device) WriteCacheInUse() int { return d.wcache.InUse() }
-
 // WriteAmplification returns (host programs + GC relocations) divided by
 // host programs — the flash write-amplification factor. Returns 1 with
 // no writes.

@@ -169,8 +169,3 @@ func (d *die) drainWaiters() {
 		w.step()
 	}
 }
-
-// Utilization returns the physical-page occupancy fraction.
-func (d *die) Utilization() float64 {
-	return 1 - float64(d.freePages)/float64(d.totalPages)
-}

@@ -40,14 +40,6 @@ func (r *resource) acquireArg(dur sim.Time, fn func(any), arg any) {
 	r.eng.ScheduleArg(r.busyUntil, fn, arg)
 }
 
-// queueDelay returns how long new work would wait before starting.
-func (r *resource) queueDelay() sim.Time {
-	if r.busyUntil <= r.eng.Now() {
-		return 0
-	}
-	return r.busyUntil - r.eng.Now()
-}
-
 // utilization returns the busy fraction over elapsed simulated time.
 func (r *resource) utilization() float64 {
 	now := r.eng.Now()

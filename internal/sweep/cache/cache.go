@@ -41,14 +41,6 @@ func New(dir string) *Cache {
 	return &Cache{dir: dir}
 }
 
-// Dir returns the cache root ("" on nil).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 // Key derives a content address from the canonical JSON encoding of
 // parts. Each part must marshal deterministically (structs, strings,
 // numbers, and maps — encoding/json sorts map keys). Unencodable parts
@@ -71,27 +63,13 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key)
 }
 
-// Open returns a reader over the cached artifact, or ok=false on a
-// miss (or a nil cache).
-func (c *Cache) Open(key string) (io.ReadCloser, bool) {
+// Get reads the whole cached artifact, or ok=false on a miss (or a nil
+// cache).
+func (c *Cache) Get(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	f, err := os.Open(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return f, true
-}
-
-// Get reads the whole cached artifact, or ok=false on a miss.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	r, ok := c.Open(key)
-	if !ok {
-		return nil, false
-	}
-	defer r.Close()
-	b, err := io.ReadAll(r)
+	b, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, false
 	}
@@ -110,38 +88,4 @@ func (c *Cache) Put(key string, write func(io.Writer) error) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	return atomicio.WriteFile(p, write)
-}
-
-// GetOrCompute returns the artifact under key, computing and storing it
-// on a miss. hit reports whether the artifact came from the store.
-func (c *Cache) GetOrCompute(key string, compute func(io.Writer) error) (b []byte, hit bool, err error) {
-	if b, ok := c.Get(key); ok {
-		return b, true, nil
-	}
-	var buf []byte
-	err = c.Put(key, func(w io.Writer) error {
-		cw := &captureWriter{w: w}
-		if err := compute(cw); err != nil {
-			return err
-		}
-		buf = cw.buf
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return buf, false, nil
-}
-
-// captureWriter tees writes into memory so GetOrCompute can return the
-// bytes it just stored without re-reading the file.
-type captureWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (cw *captureWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.buf = append(cw.buf, p[:n]...)
-	return n, err
 }

@@ -34,33 +34,12 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
-func TestGetOrComputeStoresAndHits(t *testing.T) {
-	c := New(t.TempDir())
-	key := Key("artifact", 1)
-	computes := 0
-	compute := func(w io.Writer) error {
-		computes++
-		_, err := w.Write([]byte("payload"))
-		return err
-	}
-	b, hit, err := c.GetOrCompute(key, compute)
-	if err != nil || hit || string(b) != "payload" {
-		t.Fatalf("first: b=%q hit=%v err=%v", b, hit, err)
-	}
-	b, hit, err = c.GetOrCompute(key, compute)
-	if err != nil || !hit || string(b) != "payload" {
-		t.Fatalf("second: b=%q hit=%v err=%v", b, hit, err)
-	}
-	if computes != 1 {
-		t.Fatalf("computed %d times", computes)
-	}
-}
-
 func TestComputeErrorStoresNothing(t *testing.T) {
-	c := New(t.TempDir())
+	dir := t.TempDir()
+	c := New(dir)
 	key := Key("broken")
 	boom := errors.New("boom")
-	_, _, err := c.GetOrCompute(key, func(w io.Writer) error {
+	err := c.Put(key, func(w io.Writer) error {
 		w.Write([]byte("partial"))
 		return boom
 	})
@@ -71,7 +50,7 @@ func TestComputeErrorStoresNothing(t *testing.T) {
 		t.Fatal("failed compute left an artifact")
 	}
 	// The shard dir may exist but must hold no files.
-	filepath.WalkDir(c.Dir(), func(path string, d os.DirEntry, err error) error {
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
 			t.Fatalf("stray file %s", path)
 		}
@@ -84,12 +63,20 @@ func TestNilCacheMissesAndComputes(t *testing.T) {
 	if _, ok := c.Get("ab"); ok {
 		t.Fatal("nil cache hit")
 	}
-	b, hit, err := c.GetOrCompute(Key("x"), func(w io.Writer) error {
+	computes := 0
+	if err := c.Put(Key("x"), func(w io.Writer) error {
+		computes++
 		_, err := w.Write([]byte("fresh"))
 		return err
-	})
-	if err != nil || hit || string(b) != "fresh" {
-		t.Fatalf("nil cache: b=%q hit=%v err=%v", b, hit, err)
+	}); err != nil || computes != 1 {
+		t.Fatalf("nil cache Put: computes=%d err=%v", computes, err)
+	}
+	if _, ok := c.Get(Key("x")); ok {
+		t.Fatal("nil cache stored an artifact")
+	}
+	boom := errors.New("boom")
+	if err := c.Put(Key("y"), func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("nil cache Put err = %v", err)
 	}
 	if New("") != nil {
 		t.Fatal(`New("") should be nil`)
@@ -105,12 +92,10 @@ func TestPutThenOpenRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := c.Open(key)
+	b, ok := c.Get(key)
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	defer r.Close()
-	b, _ := io.ReadAll(r)
 	if !bytes.Equal(b, []byte{1, 2, 3}) {
 		t.Fatalf("got %v", b)
 	}

@@ -67,37 +67,6 @@ func (c SCVClass) String() string {
 // SCVClasses lists all four classes in Table III order.
 var SCVClasses = []SCVClass{LowSizeLowIA, LowSizeHighIA, HighSizeLowIA, HighSizeHighIA}
 
-// ClassConfig builds a SyntheticConfig belonging to the given Table III
-// class. meanIA and meanSize set the base intensity; the class picks the
-// variability. Low SCV is ~1 (near-exponential), high SCV is ~4-6.
-func ClassConfig(class SCVClass, seed uint64, count int, meanIA sim.Time, meanSize int) SyntheticConfig {
-	cfg := SyntheticConfig{
-		Seed:      seed,
-		ReadCount: count, WriteCount: count,
-		ReadInterArrival: meanIA, WriteInterArrival: meanIA,
-		ReadMeanSize: meanSize, WriteMeanSize: meanSize,
-	}
-	lowIA, highIA := 1.0, 5.0
-	lowSize, highSize := 0.3, 4.0
-	switch class {
-	case LowSizeLowIA:
-		cfg.ReadInterArrivalSCV, cfg.WriteInterArrivalSCV = lowIA, lowIA
-		cfg.ReadSizeSCV, cfg.WriteSizeSCV = lowSize, lowSize
-	case LowSizeHighIA:
-		cfg.ReadInterArrivalSCV, cfg.WriteInterArrivalSCV = highIA, highIA
-		cfg.ReadACF1, cfg.WriteACF1 = 0.25, 0.25
-		cfg.ReadSizeSCV, cfg.WriteSizeSCV = lowSize, lowSize
-	case HighSizeLowIA:
-		cfg.ReadInterArrivalSCV, cfg.WriteInterArrivalSCV = lowIA, lowIA
-		cfg.ReadSizeSCV, cfg.WriteSizeSCV = highSize, highSize
-	case HighSizeHighIA:
-		cfg.ReadInterArrivalSCV, cfg.WriteInterArrivalSCV = highIA, highIA
-		cfg.ReadACF1, cfg.WriteACF1 = 0.25, 0.25
-		cfg.ReadSizeSCV, cfg.WriteSizeSCV = highSize, highSize
-	}
-	return cfg
-}
-
 // IntensityLevel labels the Fig. 10 sensitivity workloads.
 type IntensityLevel int
 

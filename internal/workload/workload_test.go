@@ -202,17 +202,34 @@ func TestCBSLikeWriteDominant(t *testing.T) {
 	}
 }
 
+// TestSCVClassesSeparate checks that Synthetic realises the low and high
+// SCV settings at each corner of the Table III class grid, so the
+// requested SCVs TableIII classifies by match the generated traces.
 func TestSCVClassesSeparate(t *testing.T) {
 	const count = 20000
 	for _, class := range SCVClasses {
-		cfg := ClassConfig(class, 9, count, 15*sim.Microsecond, 20<<10)
-		tr, err := Synthetic(cfg)
+		highIA := class == LowSizeHighIA || class == HighSizeHighIA
+		highSize := class == HighSizeLowIA || class == HighSizeHighIA
+		iaSCV, acf1, sizeSCV := 1.0, 0.0, 0.3
+		if highIA {
+			iaSCV, acf1 = 5, 0.25
+		}
+		if highSize {
+			sizeSCV = 4
+		}
+		tr, err := Synthetic(SyntheticConfig{
+			Seed:      9,
+			ReadCount: count, WriteCount: count,
+			ReadInterArrival: 15 * sim.Microsecond, WriteInterArrival: 15 * sim.Microsecond,
+			ReadInterArrivalSCV: iaSCV, WriteInterArrivalSCV: iaSCV,
+			ReadACF1: acf1, WriteACF1: acf1,
+			ReadMeanSize: 20 << 10, WriteMeanSize: 20 << 10,
+			ReadSizeSCV: sizeSCV, WriteSizeSCV: sizeSCV,
+		})
 		if err != nil {
 			t.Fatalf("%v: %v", class, err)
 		}
 		s := trace.Extract(tr)
-		highIA := class == LowSizeHighIA || class == HighSizeHighIA
-		highSize := class == HighSizeLowIA || class == HighSizeHighIA
 		if highIA && s.Read.InterArrivalSCV < 2 {
 			t.Errorf("%v: inter-arrival SCV %v too low", class, s.Read.InterArrivalSCV)
 		}
