@@ -8,6 +8,10 @@
 //
 // compare exits non-zero when any gated benchmark regresses beyond the
 // thresholds (ns/op or allocs/op), so CI can consume it directly.
+//
+// parse folds repeated lines of one benchmark (go test -count n) into
+// one entry holding the median of each metric, so a single slow run on
+// a noisy machine does not move the gated ns/op.
 package main
 
 import (
@@ -83,9 +87,11 @@ func fatal(err error) {
 
 // parse reads `go test -bench` text and emits the JSON document. Metric
 // pairs after the iteration count are tokenized as (value, unit), so the
-// order go test prints them in does not matter.
-func parse(in *os.File, out *os.File) error {
+// order go test prints them in does not matter. Repeated lines of one
+// benchmark fold into their median (see fold).
+func parse(in io.Reader, out io.Writer) error {
 	f := File{Schema: Schema, Benchmarks: map[string]Entry{}}
+	runs := map[string][]Entry{}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -136,10 +142,13 @@ func parse(in *os.File, out *os.File) error {
 				e.HeapBytes = v
 			}
 		}
-		f.Benchmarks[name] = e
+		runs[name] = append(runs[name], e)
 	}
 	if err := sc.Err(); err != nil {
 		return err
+	}
+	for name, es := range runs {
+		f.Benchmarks[name] = fold(es)
 	}
 	if len(f.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found in input")
@@ -147,6 +156,31 @@ func parse(in *os.File, out *os.File) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(f)
+}
+
+// fold merges repeated runs of one benchmark: each metric is the median
+// of its runs (the mean of the middle two for an even count), and
+// Iterations is their total.
+func fold(es []Entry) Entry {
+	median := func(get func(Entry) float64) float64 {
+		vs := make([]float64, len(es))
+		for i, e := range es {
+			vs[i] = get(e)
+		}
+		sort.Float64s(vs)
+		n := len(vs)
+		return (vs[(n-1)/2] + vs[n/2]) / 2
+	}
+	out := Entry{
+		NsPerOp:     median(func(e Entry) float64 { return e.NsPerOp }),
+		BytesPerOp:  median(func(e Entry) float64 { return e.BytesPerOp }),
+		AllocsPerOp: median(func(e Entry) float64 { return e.AllocsPerOp }),
+		HeapBytes:   median(func(e Entry) float64 { return e.HeapBytes }),
+	}
+	for _, e := range es {
+		out.Iterations += e.Iterations
+	}
+	return out
 }
 
 // gates are the regression thresholds per benchmark: the hot-path

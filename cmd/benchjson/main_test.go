@@ -82,3 +82,37 @@ func TestCompareSchemaMismatch(t *testing.T) {
 		t.Fatalf("schema mismatch: err = %v", err)
 	}
 }
+
+// TestParseFoldsRepeatsToMedian: three runs of one benchmark (go test
+// -count 3) fold into the median ns/op and allocs/op, whichever run holds
+// each; a benchmark seen once passes through unchanged.
+func TestParseFoldsRepeatsToMedian(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+cpu: Test CPU
+BenchmarkFig7Throughput-2   	       1	 300000000 ns/op	 2000 B/op	   63200 allocs/op	  9000 heap-B
+BenchmarkFig7Throughput-2   	       1	 100000000 ns/op	 3000 B/op	   63300 allocs/op	  8000 heap-B
+BenchmarkFig7Throughput-2   	       1	 200000000 ns/op	 1000 B/op	   63100 allocs/op	  7000 heap-B
+BenchmarkFig2Motivation-2   	26891464	        41.45 ns/op	     128 B/op	       1 allocs/op
+PASS
+`
+	var out bytes.Buffer
+	if err := parse(strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(out.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.CPU != "Test CPU" || len(f.Benchmarks) != 2 {
+		t.Fatalf("parsed %+v", f)
+	}
+	want := Entry{Iterations: 3, NsPerOp: 200e6, BytesPerOp: 2000, AllocsPerOp: 63200, HeapBytes: 8000}
+	if got := f.Benchmarks["BenchmarkFig7Throughput"]; got != want {
+		t.Fatalf("Fig7 folded to %+v, want %+v", got, want)
+	}
+	want = Entry{Iterations: 26891464, NsPerOp: 41.45, BytesPerOp: 128, AllocsPerOp: 1}
+	if got := f.Benchmarks["BenchmarkFig2Motivation"]; got != want {
+		t.Fatalf("Fig2 parsed to %+v, want %+v", got, want)
+	}
+}

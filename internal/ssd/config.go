@@ -12,6 +12,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 
 	"srcsim/internal/sim"
 )
@@ -167,6 +168,16 @@ func (c Config) Validate() error {
 	}
 	if c.GCThreshold >= 0.5 {
 		return fmt.Errorf("ssd: GC threshold %v unreasonably high", c.GCThreshold)
+	}
+	if c.CMTBytes < mapEntryBytes {
+		return fmt.Errorf("ssd: CMTBytes %d below one %d-byte mapping entry", c.CMTBytes, mapEntryBytes)
+	}
+	if n := c.CMTBytes / mapEntryBytes; n > math.MaxInt32 {
+		return fmt.Errorf("ssd: CMTBytes %d holds %d mapping entries, above the %d the CMT can index",
+			c.CMTBytes, n, math.MaxInt32)
+	}
+	if c.WriteCacheBytes < int64(c.PageSize) {
+		return fmt.Errorf("ssd: WriteCacheBytes %d below one %d-byte page", c.WriteCacheBytes, c.PageSize)
 	}
 	return nil
 }

@@ -9,6 +9,11 @@ type pageLoc struct {
 }
 
 // blockMeta tracks one erase block's programmed pages and validity.
+// lpns and valid are allocated by the block's first program (allocate),
+// so a never-written block costs no page arrays. Every reader of them —
+// allocate's invalidation of an old copy, liveLPNs, finishErase — only
+// reaches blocks with writePtr > 0 (a mapped page, a full GC victim), so
+// a nil slice is never indexed.
 type blockMeta struct {
 	lpns       []uint64
 	valid      []bool
@@ -61,10 +66,6 @@ func newDie(index int, res, channel *resource, blocksPerDie, pagesPerBlock int, 
 		gcThreshold:   gcThreshold,
 		mapping:       make(map[uint64]pageLoc),
 	}
-	for i := range d.blocks {
-		d.blocks[i].lpns = make([]uint64, pagesPerBlock)
-		d.blocks[i].valid = make([]bool, pagesPerBlock)
-	}
 	// Block 0 starts active; the rest are free.
 	d.active = 0
 	for i := 1; i < blocksPerDie; i++ {
@@ -85,6 +86,10 @@ func (d *die) allocate(lpn uint64) bool {
 		d.freeBlocks = d.freeBlocks[:len(d.freeBlocks)-1]
 	}
 	blk := &d.blocks[d.active]
+	if blk.lpns == nil {
+		blk.lpns = make([]uint64, d.pagesPerBlock)
+		blk.valid = make([]bool, d.pagesPerBlock)
+	}
 	p := blk.writePtr
 	blk.writePtr++
 	blk.lpns[p] = lpn

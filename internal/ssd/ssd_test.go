@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"srcsim/internal/nvme"
@@ -83,6 +85,33 @@ func TestConfigValidateErrors(t *testing.T) {
 	bad.OverProvision = 0.9
 	if err := bad.Validate(); err == nil {
 		t.Fatal("huge OP should fail")
+	}
+	// CMT and write-cache sizes the cache structures cannot hold fail with
+	// the field named, instead of being coerced to one entry or slot.
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+		want string
+	}{
+		{"CMT below one entry", func(c *Config) { c.CMTBytes = mapEntryBytes - 1 }, "CMTBytes 7 below one 8-byte mapping entry"},
+		{"CMT above int32 entries", func(c *Config) { c.CMTBytes = (math.MaxInt32 + 1) * mapEntryBytes }, "CMTBytes 17179869184 holds 2147483648 mapping entries"},
+		{"write cache below one page", func(c *Config) { c.WriteCacheBytes = int64(c.PageSize) - 1 }, "WriteCacheBytes 16383 below one 16384-byte page"},
+	} {
+		bad := ConfigA()
+		tc.mod(&bad)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := New(sim.NewEngine(), bad, nvme.NewSSQ(1, 1)); err == nil {
+			t.Errorf("%s: New accepted the config", tc.name)
+		}
+	}
+	// The smallest sizes that fit are valid.
+	ok := ConfigA()
+	ok.CMTBytes, ok.WriteCacheBytes = mapEntryBytes, int64(ok.PageSize)
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("one CMT entry, one write-cache page: %v", err)
 	}
 }
 
@@ -315,6 +344,41 @@ func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 		if die.blocks[loc.block].lpns[loc.page] != lpn {
 			t.Fatalf("reverse map mismatch for lpn %d", lpn)
 		}
+	}
+}
+
+// TestBlockPagesAllocatedOnFirstProgram: a block's page arrays appear
+// only once it is programmed, so a fresh die holds none.
+func TestBlockPagesAllocatedOnFirstProgram(t *testing.T) {
+	cfg := Config{
+		Name: "tiny", QueueDepth: 4,
+		Channels: 1, DiesPerChannel: 1,
+		BlocksPerDie: 8, PagesPerBlock: 8,
+		PageSize: 16 << 10,
+	}
+	arb := nvme.NewSSQ(1, 1)
+	eng, dev := testDevice(t, cfg, arb)
+	allocated := func() (n int) {
+		for _, b := range dev.dies[0].blocks {
+			if b.lpns != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("fresh die has %d blocks with page arrays", n)
+	}
+	tr := &trace.Trace{}
+	for i := 0; i < 12; i++ { // one full block plus four pages of the next
+		tr.Requests = append(tr.Requests, trace.Request{
+			ID: uint64(i), Op: trace.Write, LBA: uint64(i) * uint64(cfg.PageSize),
+			Size: cfg.PageSize, Arrival: sim.Time(i) * sim.Millisecond,
+		})
+	}
+	driveTrace(eng, dev, arb, tr)
+	if n := allocated(); n != 2 {
+		t.Fatalf("%d blocks with page arrays after 12 page writes, want 2", n)
 	}
 }
 

@@ -3,7 +3,8 @@
 # BENCH_<n>.json snapshot, and compare it against the newest committed
 # BENCH_<n>.json baseline other than the output itself (regression gates
 # on BenchmarkFig7Throughput and BenchmarkFig5WeightSweep; see
-# cmd/benchjson).
+# cmd/benchjson). Every benchmark runs three times and the JSON keeps
+# the median ns/op and allocs/op, so no snapshot rests on a single run.
 #
 # Usage:
 #   scripts/bench.sh                  # full run, next free BENCH_<n>.json
@@ -26,8 +27,8 @@ fi
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-echo "== go test -bench '$pattern' -benchtime $benchtime" >&2
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -timeout 60m . | tee "$raw"
+echo "== go test -bench '$pattern' -benchtime $benchtime -count 3" >&2
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count 3 -timeout 60m . | tee "$raw"
 
 go run ./cmd/benchjson parse < "$raw" > "$out"
 echo "== wrote $out" >&2
