@@ -5,7 +5,7 @@ import "srcsim/internal/guard"
 // AuditInvariants verifies the SSQ's token and queue accounting:
 // tokens stay within [0, weight] (token non-negativity), the pending
 // counters agree with the physical queue occupancy, and the
-// consistency-check block map empties exactly when the queues do.
+// consistency-check block table empties exactly when the queues do.
 // Read-only and O(1) — the block-ref total is maintained incrementally
 // (refSum) rather than scanned — so it is safe to run per-event on the
 // live sim clock.
@@ -32,14 +32,15 @@ func (s *SSQ) AuditInvariants() []guard.Violation {
 		vs = append(vs, guard.Violationf("nvme", "ssq-pending-nonnegative",
 			"reads %d writes %d", s.pendingR, s.pendingW))
 	}
-	if s.pending == 0 && len(s.inQueue) != 0 {
+	if s.pending == 0 && s.blocks.live != 0 {
 		vs = append(vs, guard.Violationf("nvme", "ssq-blockmap-leak",
-			"queues empty but %d block refs remain", len(s.inQueue)))
+			"queues empty but %d block refs remain", s.blocks.live))
 	}
 	// Every waiting command holds >= 1 block ref; a command spanning k
 	// blocks holds k, so refSum < pending means release ran twice.
-	// (Entries with count <= 0 cannot exist: release deletes them, so a
-	// per-entry scan would only re-check what the ledger already proves.)
+	// (Cells with count < 0 cannot exist: release removes a cell when its
+	// count reaches 0, so a per-cell scan would only re-check what the
+	// ledger already proves.)
 	if s.refSum < s.pending {
 		vs = append(vs, guard.Violationf("nvme", "ssq-blockmap-underflow",
 			"%d block refs for %d pending commands", s.refSum, s.pending))

@@ -295,54 +295,101 @@ func TestSSQPendingByOpWithRedirect(t *testing.T) {
 	}
 }
 
-// Property: the SSQ never loses or duplicates commands, and dependent
-// pairs are always fetched in submission order.
+// Property: the SSQ never loses or duplicates commands, fetches each
+// queue in FIFO order, and routes a command by the lowest block of its
+// span that has waiters: to the queue of the command that took that
+// block from no waiters to one. A block keeps that queue until its last
+// waiter leaves, even if the command that set it was fetched first, so
+// the oracle tracks each block's opener rather than its oldest waiter.
+// Spans are unaligned, 1 B to 16 KiB (up to five blocks) over 16 hot
+// blocks, so they overlap partially and redirect chains cross block
+// boundaries; fetches are interleaved with submissions.
 func TestPropertySSQConservation(t *testing.T) {
-	f := func(ops []bool, lbaSel []uint8) bool {
-		n := len(ops)
-		if len(lbaSel) < n {
-			n = len(lbaSel)
-		}
-		if n == 0 {
+	const hot = 16 << blockShift
+	f := func(ops []uint8, lbaSel, sizeSel []uint16) bool {
+		n := min(len(ops), len(lbaSel), len(sizeSel))
+		s := NewSSQ(1, 3)
+		var waiting []*Command          // in submission order
+		opener := map[uint64]*Command{} // block -> command that opened it
+		var redirects uint64
+		fetch := func() bool {
+			c := s.Fetch()
+			if c == nil {
+				return len(waiting) == 0
+			}
+			i := 0
+			for i < len(waiting) && waiting[i] != c {
+				i++
+			}
+			if i == len(waiting) {
+				return false // never submitted, or fetched twice
+			}
+			// FIFO per queue: a pinned command follows the waiter whose
+			// queue it joined.
+			for _, w := range waiting[:i] {
+				if w.queueHint == c.queueHint {
+					return false
+				}
+			}
+			waiting = append(waiting[:i], waiting[i+1:]...)
 			return true
 		}
-		s := NewSSQ(1, 3)
-		type key struct{ lba uint64 }
-		lastSubmit := map[key]uint64{}
-		deps := map[uint64]uint64{} // id -> must-follow id
 		for i := 0; i < n; i++ {
+			if ops[i]%4 == 3 {
+				if !fetch() {
+					return false
+				}
+				continue
+			}
 			id := uint64(i + 1)
-			lba := uint64(lbaSel[i]%16) << 12 // 16 hot blocks force overlaps
-			var c *Command
-			if ops[i] {
-				c = wcmd(id, lba, 4096)
-			} else {
-				c = rcmd(id, lba, 4096)
+			lba := uint64(lbaSel[i]) * 7 % hot
+			size := 1 + int(sizeSel[i])%(16<<10)
+			c, natural := rcmd(id, lba, size), rsqIdx
+			if ops[i]%2 == 1 {
+				c, natural = wcmd(id, lba, size), wsqIdx
 			}
-			if prev, ok := lastSubmit[key{lba}]; ok {
-				deps[id] = prev
+			// Oracle: the opener of the lowest block that has a waiter.
+			var pin *Command
+			var free []uint64 // blocks of the span without waiters
+			for b := lba >> blockShift; b <= (lba+uint64(size)-1)>>blockShift; b++ {
+				contended := false
+				for _, w := range waiting {
+					if w.LBA>>blockShift <= b && b <= (w.LBA+uint64(w.Size)-1)>>blockShift {
+						contended = true
+						break
+					}
+				}
+				if !contended {
+					free = append(free, b)
+				} else if pin == nil {
+					pin = opener[b]
+				}
 			}
-			lastSubmit[key{lba}] = id
 			s.Submit(c)
-		}
-		fetchedAt := map[uint64]int{}
-		cnt := 0
-		for c := s.Fetch(); c != nil; c = s.Fetch() {
-			if _, dup := fetchedAt[c.ID]; dup {
+			for _, b := range free {
+				opener[b] = c
+			}
+			want := natural
+			if pin != nil {
+				want = pin.queueHint
+			}
+			if c.queueHint != want {
 				return false
 			}
-			fetchedAt[c.ID] = cnt
-			cnt++
-		}
-		if cnt != n {
-			return false
-		}
-		for id, prev := range deps {
-			if fetchedAt[id] < fetchedAt[prev] {
+			if want != natural {
+				redirects++
+			}
+			waiting = append(waiting, c)
+			if len(s.AuditInvariants()) != 0 {
 				return false
 			}
 		}
-		return true
+		for len(waiting) > 0 {
+			if !fetch() {
+				return false
+			}
+		}
+		return s.Redirected == redirects && s.blocks.live == 0 && len(s.AuditInvariants()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

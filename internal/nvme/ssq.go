@@ -42,12 +42,12 @@ type SSQ struct {
 	pendingR int
 	pendingW int
 
-	// inQueue maps each 4 KiB-aligned block with at least one waiting
+	// blocks maps each 4 KiB-aligned block with at least one waiting
 	// command to (queue index, waiter count) for the consistency check.
 	// refSum mirrors the sum of all counts so the auditor never has to
-	// walk the map on the hot path.
-	inQueue map[uint64]blockRef
-	refSum  int
+	// walk the table on the hot path.
+	blocks blockTable
+	refSum int
 
 	// Counters for tests and metrics.
 	FetchedReads, FetchedWrites uint64
@@ -83,19 +83,124 @@ func (s *SSQ) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("nvme", "ssq_token_resets", obs.U64(&s.TokenResets), labels...)
 }
 
-type blockRef struct {
-	queue int
-	count int
-}
-
 // blockShift aligns LBAs to 4 KiB blocks for dependency tracking.
 const blockShift = 12
+
+// blockTable is the consistency check's block index: a flat
+// open-addressing table from block number to the queue its waiters sit
+// in and their count. Every Submit and every Fetch touches it once per
+// block, and its entries come and go with every command, so it must
+// allocate nothing once grown and leave no tombstones behind.
+//
+// A cell with count 0 is empty. Keys probe linearly from a Fibonacci
+// hash; removal uses backward-shift deletion. The table doubles when
+// more than 3/4 of its cells are live, so a probe always ends at an
+// empty cell, and it never shrinks.
+type blockTable struct {
+	cells []blockCell
+	shift uint // 64 - log2(len(cells)): the hash keeps the top bits
+	live  int  // cells with count > 0
+}
+
+type blockCell struct {
+	key   uint64
+	queue int32
+	count int32
+}
+
+// minBlockBits sizes a new table: 1<<minBlockBits cells.
+const minBlockBits = 4
+
+func newBlockTable() blockTable {
+	return blockTable{cells: make([]blockCell, 1<<minBlockBits), shift: 64 - minBlockBits}
+}
+
+// home is key's first probe cell.
+func (t *blockTable) home(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns the cell holding key, or the empty cell that ends its
+// probe chain and false.
+func (t *blockTable) find(key uint64) (cell int, ok bool) {
+	mask := len(t.cells) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		if c.count == 0 {
+			return i, false
+		}
+		if c.key == key {
+			return i, true
+		}
+	}
+}
+
+// add counts one more waiter on key, placing key in queue if it has no
+// waiters yet.
+func (t *blockTable) add(key uint64, queue int) {
+	i, ok := t.find(key)
+	if ok {
+		t.cells[i].count++
+		return
+	}
+	t.cells[i] = blockCell{key: key, queue: int32(queue), count: 1}
+	t.live++
+	if 4*t.live > 3*len(t.cells) {
+		t.grow()
+	}
+}
+
+// drop counts one waiter on key fewer, removing key with its last
+// waiter; it reports whether key was present.
+func (t *blockTable) drop(key uint64) bool {
+	i, ok := t.find(key)
+	if !ok {
+		return false
+	}
+	if t.cells[i].count--; t.cells[i].count == 0 {
+		t.remove(i)
+	}
+	return true
+}
+
+// remove empties cell i, shifting later cells of its probe chain back
+// so every remaining key stays reachable from its home cell.
+func (t *blockTable) remove(i int) {
+	t.live--
+	mask := len(t.cells) - 1
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		c := t.cells[j]
+		if c.count == 0 {
+			t.cells[i] = blockCell{}
+			return
+		}
+		// The cell at j may fill the hole at i only if i lies on its
+		// probe path, i.e. cyclically within [home, j).
+		if (j-t.home(c.key))&mask >= (j-i)&mask {
+			t.cells[i] = c
+			i = j
+		}
+	}
+}
+
+// grow doubles the table and re-inserts every live cell.
+func (t *blockTable) grow() {
+	old := t.cells
+	t.cells = make([]blockCell, 2*len(old))
+	t.shift--
+	for _, c := range old {
+		if c.count != 0 {
+			i, _ := t.find(c.key)
+			t.cells[i] = c
+		}
+	}
+}
 
 // NewSSQ builds an SSQ with the given initial weights (both must be >= 1;
 // the paper constrains w = writeWeight/readWeight >= 1 but the mechanism
 // itself accepts any positive weights).
 func NewSSQ(readWeight, writeWeight int) *SSQ {
-	s := &SSQ{inQueue: make(map[uint64]blockRef)}
+	s := &SSQ{blocks: newBlockTable()}
 	s.SetWeights(readWeight, writeWeight)
 	return s
 }
@@ -138,8 +243,8 @@ func (s *SSQ) Submit(c *Command) {
 
 	first, last := blocksOf(c)
 	for b := first; b <= last; b++ {
-		if ref, ok := s.inQueue[b]; ok {
-			target = ref.queue
+		if i, ok := s.blocks.find(b); ok {
+			target = int(s.blocks.cells[i].queue)
 			break
 		}
 	}
@@ -148,15 +253,10 @@ func (s *SSQ) Submit(c *Command) {
 	}
 	c.queueHint = target
 	for b := first; b <= last; b++ {
-		ref := s.inQueue[b]
-		if ref.count == 0 {
-			ref.queue = target
-		}
-		ref.count++
+		// A block that already has waiters keeps its original queue so
+		// later arrivals follow the chain.
+		s.blocks.add(b, target)
 		s.refSum++
-		// All same-block waiters sit in ref.queue by construction; keep
-		// the original queue so later arrivals follow the chain.
-		s.inQueue[b] = ref
 	}
 
 	s.queues[target].Push(c)
@@ -235,16 +335,8 @@ func (s *SSQ) Fetch() *Command {
 func (s *SSQ) release(c *Command) {
 	first, last := blocksOf(c)
 	for b := first; b <= last; b++ {
-		ref, ok := s.inQueue[b]
-		if !ok {
-			continue
-		}
-		ref.count--
-		s.refSum--
-		if ref.count <= 0 {
-			delete(s.inQueue, b)
-		} else {
-			s.inQueue[b] = ref
+		if s.blocks.drop(b) {
+			s.refSum--
 		}
 	}
 }

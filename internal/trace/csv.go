@@ -81,6 +81,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil || size <= 0 {
 			return nil, fmt.Errorf("trace: line %d: bad size %q", line, row[3])
 		}
+		if wraps(lba, size) {
+			return nil, fmt.Errorf("trace: line %d: lba %d + size %d overflows 64 bits", line, lba, size)
+		}
 		ini, err := strconv.Atoi(row[4])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad initiator %q", line, row[4])

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzReadCSV: the CSV reader must never panic, and every accepted
-// trace must satisfy the package invariants (positive sizes,
-// non-negative arrivals).
+// trace must satisfy the package invariants (positive sizes, spans
+// that do not wrap, non-negative arrivals).
 func FuzzReadCSV(f *testing.F) {
 	f.Add("arrival_ns,op,lba_bytes,size_bytes,initiator,target\n0,R,0,4096,0,0\n")
 	f.Add("arrival_ns,op,lba_bytes,size_bytes,initiator,target\n100,W,8192,512,1,1\n5,R,0,1,0,0\n")
@@ -26,6 +26,9 @@ func FuzzReadCSV(f *testing.F) {
 			if r.Size <= 0 {
 				t.Fatalf("request %d accepted with size %d", i, r.Size)
 			}
+			if r.End() < r.LBA {
+				t.Fatalf("request %d accepted with a wrapping span: lba %d size %d", i, r.LBA, r.Size)
+			}
 			if r.Arrival < 0 {
 				t.Fatalf("request %d accepted with negative arrival %v", i, r.Arrival)
 			}
@@ -35,8 +38,8 @@ func FuzzReadCSV(f *testing.F) {
 
 // FuzzTraceJSONL: the open-format decoder must never panic; every
 // accepted trace must satisfy the package invariants (positive sizes,
-// non-negative arrivals, file-ordered IDs) and survive a write -> read
-// round trip unchanged — the JSONL writer and decoder are the public
+// spans that do not wrap, non-negative arrivals, file-ordered IDs) and
+// survive a write -> read round trip unchanged — the JSONL writer and decoder are the public
 // ingest boundary of the scenario toolchain.
 func FuzzTraceJSONL(f *testing.F) {
 	hdr := "{\"format\":\"srcsim-trace\",\"version\":1}\n"
@@ -51,6 +54,7 @@ func FuzzTraceJSONL(f *testing.F) {
 	f.Add("{\"format\":\"other\",\"version\":1}\n")
 	f.Add("")
 	f.Add("not json at all\n")
+	f.Add(hdr + "{\"ts_ns\":0,\"op\":\"W\",\"lba\":18446744073709547520,\"size\":8192}\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadJSONL(strings.NewReader(data))
 		if err != nil {
@@ -59,6 +63,9 @@ func FuzzTraceJSONL(f *testing.F) {
 		for i, r := range tr.Requests {
 			if r.Size <= 0 {
 				t.Fatalf("request %d accepted with size %d", i, r.Size)
+			}
+			if r.End() < r.LBA {
+				t.Fatalf("request %d accepted with a wrapping span: lba %d size %d", i, r.LBA, r.Size)
 			}
 			if r.Arrival < 0 {
 				t.Fatalf("request %d accepted with negative arrival %v", i, r.Arrival)
@@ -87,7 +94,8 @@ func FuzzTraceJSONL(f *testing.F) {
 }
 
 // FuzzReadMSR: the MSR reader must never panic, and every accepted
-// trace must be sorted with non-negative arrivals and positive sizes.
+// trace must be sorted with non-negative arrivals, positive sizes and
+// spans that do not wrap.
 func FuzzReadMSR(f *testing.F) {
 	f.Add("128166372003061629,src1,0,Read,0,4096,100\n")
 	f.Add("2000,h,0,Read,4096,8192,1\n1000,h,0,Write,0,512,1\n")
@@ -97,6 +105,7 @@ func FuzzReadMSR(f *testing.F) {
 	f.Add("1000,h,0,Read,0,-4,1\n")
 	f.Add("9223372036854775807,h,0,Read,0,4096,1\n0,h,0,Read,0,4096,1\n")
 	f.Add("not,enough\n")
+	f.Add("1000,h,0,Write,18446744073709547520,8192,1\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadMSR(strings.NewReader(data))
 		if err != nil {
@@ -106,6 +115,9 @@ func FuzzReadMSR(f *testing.F) {
 		for i, r := range tr.Requests {
 			if r.Size <= 0 {
 				t.Fatalf("request %d accepted with size %d", i, r.Size)
+			}
+			if r.End() < r.LBA {
+				t.Fatalf("request %d accepted with a wrapping span: lba %d size %d", i, r.LBA, r.Size)
 			}
 			if r.Arrival < 0 {
 				t.Fatalf("request %d accepted with negative arrival %v", i, r.Arrival)

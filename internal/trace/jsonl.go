@@ -24,10 +24,11 @@ import (
 //	{"ts_ns":1350,"op":"W","lba":0,"size":4096,"initiator":0,"target":1}
 //
 // ts_ns is the arrival time in nanoseconds (non-negative), op is "R" or
-// "W", lba and size are bytes (size positive), stream is an optional
-// volume/stream tag, initiator/target optionally pin a request to
-// cluster nodes. Decoding is strict: unknown fields, bad values, and a
-// missing or unsupported header fail with the offending line number.
+// "W", lba and size are bytes (size positive, lba+size within 64
+// bits), stream is an optional volume/stream tag, initiator/target
+// optionally pin a request to cluster nodes. Decoding is strict:
+// unknown fields, bad values, and a missing or unsupported header fail
+// with the offending line number.
 
 // JSONLFormat and JSONLVersion identify the open trace schema.
 const (
@@ -130,6 +131,9 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		}
 		if rec.Size <= 0 {
 			return nil, fmt.Errorf("trace: jsonl line %d: non-positive size %d", line, rec.Size)
+		}
+		if wraps(rec.LBA, rec.Size) {
+			return nil, fmt.Errorf("trace: jsonl line %d: lba %d + size %d overflows 64 bits", line, rec.LBA, rec.Size)
 		}
 		if rec.Initiator < 0 || rec.Target < 0 {
 			return nil, fmt.Errorf("trace: jsonl line %d: negative initiator/target", line)

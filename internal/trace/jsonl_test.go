@@ -87,6 +87,8 @@ func TestJSONLStrictErrors(t *testing.T) {
 		{"bad op", hdr + `{"ts_ns":0,"op":"X","lba":0,"size":1}` + "\n", `bad op "X"`},
 		{"zero size", hdr + `{"ts_ns":0,"op":"R","lba":0,"size":0}` + "\n", "non-positive size"},
 		{"negative size", hdr + `{"ts_ns":0,"op":"W","lba":0,"size":-9}` + "\n", "non-positive size"},
+		{"wrapping span", hdr + `{"ts_ns":0,"op":"R","lba":0,"size":1}` + "\n" +
+			`{"ts_ns":0,"op":"W","lba":18446744073709547520,"size":8192}` + "\n", "jsonl line 3: lba 18446744073709547520 + size 8192 overflows"},
 		{"negative target", hdr + `{"ts_ns":0,"op":"R","lba":0,"size":1,"target":-1}` + "\n", "negative initiator/target"},
 		{"trailing garbage", hdr + `{"ts_ns":0,"op":"R","lba":0,"size":1} extra` + "\n", "line 2"},
 		{"not json", hdr + "ts,op,lba\n", "line 2"},

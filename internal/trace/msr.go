@@ -63,6 +63,9 @@ func ReadMSR(r io.Reader) (*Trace, error) {
 		if err != nil || size <= 0 {
 			return nil, fmt.Errorf("trace: msr line %d size %q", lineNo, fields[5])
 		}
+		if wraps(offset, size) {
+			return nil, fmt.Errorf("trace: msr line %d: offset %d + size %d overflows 64 bits", lineNo, offset, size)
+		}
 		ticks = append(ticks, ts)
 		t.Requests = append(t.Requests, Request{
 			ID:   uint64(len(t.Requests)),

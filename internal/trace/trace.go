@@ -6,6 +6,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"srcsim/internal/sim"
@@ -54,6 +55,12 @@ type Request struct {
 
 // End returns the byte offset one past the last accessed byte.
 func (r Request) End() uint64 { return r.LBA + uint64(r.Size) }
+
+// wraps reports whether size bytes from lba run past the 64-bit byte
+// range, so that End would wrap to a small offset. The readers reject
+// such requests: a wrapped span covers no block, so it would escape the
+// SSQ consistency check.
+func wraps(lba uint64, size int) bool { return uint64(size) > math.MaxUint64-lba }
 
 // Overlaps reports whether two requests touch any common byte; the SSQ
 // consistency check uses this to pin dependent requests to one queue.

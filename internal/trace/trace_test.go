@@ -211,6 +211,45 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadersRejectWrappingSpan: a request whose LBA+Size overflows
+// uint64 fails with its line number in every reader, while a span that
+// ends exactly at the top of the range is accepted.
+func TestReadersRejectWrappingSpan(t *testing.T) {
+	const csvHdr = "arrival_ns,op,lba_bytes,size_bytes,initiator,target\n"
+	readCSV := func(s string) (*Trace, error) { return ReadCSV(strings.NewReader(s)) }
+	readMSR := func(s string) (*Trace, error) { return ReadMSR(strings.NewReader(s)) }
+	cases := []struct {
+		name, in, want string
+		read           func(string) (*Trace, error)
+	}{
+		{"csv", csvHdr + "0,R,0,4096,0,0\n0,W,18446744073709547520,8192,0,0\n",
+			"line 3: lba 18446744073709547520 + size 8192 overflows", readCSV},
+		{"csv max lba", csvHdr + "0,R,18446744073709551615,1,0,0\n",
+			"line 2: lba 18446744073709551615 + size 1 overflows", readCSV},
+		{"msr", "# header\n123,hm,0,Read,0,4096,1\n124,hm,0,Write,18446744073709547520,8192,1\n",
+			"msr line 3: offset 18446744073709547520 + size 8192 overflows", readMSR},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.read(tc.in)
+			if err == nil {
+				t.Fatal("accepted a wrapping request")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	// 2^64-4096 + 4095 ends at MaxUint64 without wrapping.
+	tr, err := readCSV(csvHdr + "0,W,18446744073709547520,4095,0,0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tr.Requests[0]; r.End() != math.MaxUint64 {
+		t.Fatalf("End = %d, want MaxUint64", r.End())
+	}
+}
+
 func TestCSVRejectsCorruptInput(t *testing.T) {
 	cases := map[string]string{
 		"bad header": "nope,op,lba_bytes,size_bytes,initiator,target\n",
